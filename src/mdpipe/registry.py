@@ -236,16 +236,25 @@ class Registry:
 
     @classmethod
     def replay(cls, log_path: str | Path) -> "Registry":
-        """Rebuild a registry by folding its event log; the log itself is
-        not re-written."""
+        """Rebuild a registry by folding its event log.
+
+        An event is committed by its closing newline. Bytes after the last
+        newline are a write torn by a crash: they are cut from the log, so
+        the next append starts on a fresh line. Any other unreadable line
+        raises."""
         registry = cls(log_path=None)
         path = Path(log_path)
         if path.exists():
-            with path.open(encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        registry._apply_event(json.loads(line))
+            data = path.read_bytes()
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                logger.warning("%s: dropping a torn final line of %d bytes",
+                               path, len(data) - end)
+                with path.open("r+b") as fh:
+                    fh.truncate(end)
+            for line in data[:end].split(b"\n"):
+                if line.strip():
+                    registry._apply_event(json.loads(line))
         registry.log_path = path
         return registry
 

@@ -14,9 +14,12 @@ import base64
 import hashlib
 import json
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 from xml.sax.saxutils import escape, quoteattr
 
 from . import ingest, model
@@ -96,24 +99,71 @@ class SnapshotManifest:
     checksum: str
 
 
+class _Listing(NamedTuple):
+    """Records in snapshot order and, in parallel, their served datestamps."""
+
+    records: tuple[StoredRecord, ...]
+    stamps: tuple[datetime, ...]
+
+
+_EMPTY_LISTING = _Listing((), ())
+
+
+@dataclass(frozen=True)
+class _SnapshotIndex:
+    by_identifier: dict[str, StoredRecord]
+    everything: _Listing
+    by_set: dict[str, _Listing]   # in setSpec order
+
+
 @dataclass(frozen=True)
 class ServingSnapshot:
+    """An immutable published view of the repository.
+
+    ``records`` is sorted by ``(served_datestamp, repo_identifier)``, so a
+    datestamp window of one set is a contiguous run of that set's records.
+    """
+
     records: tuple[StoredRecord, ...]
     snapshot_id: str
     manifest: SnapshotManifest
 
-    def by_identifier(self, repo_identifier: str) -> StoredRecord | None:
-        return self._index().get(repo_identifier)
+    @cached_property
+    def _index(self) -> _SnapshotIndex:
+        """Every lookup the server needs, built on first use rather than at
+        publish: harvest-only callers publish and never serve."""
+        stamps = tuple(r.served_datestamp for r in self.records)
+        if any(a > b for a, b in zip(stamps, stamps[1:])):
+            raise ValueError("snapshot records are not in datestamp order")
+        by_set: dict[str, list[StoredRecord]] = {}
+        for r in self.records:
+            by_set.setdefault(r.collection_id, []).append(r)
+        return _SnapshotIndex(
+            by_identifier={r.repo_identifier: r for r in self.records},
+            everything=_Listing(tuple(self.records), stamps),
+            by_set={spec: _Listing(tuple(recs),
+                                   tuple(r.served_datestamp for r in recs))
+                    for spec, recs in sorted(by_set.items())},
+        )
 
-    def _index(self):
-        idx = getattr(self, "_idx", None)
-        if idx is None:
-            idx = {r.repo_identifier: r for r in self.records}
-            object.__setattr__(self, "_idx", idx)
-        return idx
+    def by_identifier(self, repo_identifier: str) -> StoredRecord | None:
+        return self._index.by_identifier.get(repo_identifier)
 
     def set_specs(self) -> tuple[str, ...]:
-        return tuple(sorted({r.collection_id for r in self.records}))
+        return tuple(self._index.by_set)
+
+    def select(self, set_spec: str | None, from_: datetime | None,
+               until: datetime) -> tuple[tuple[StoredRecord, ...], int, int]:
+        """The records of ``set_spec`` (every set when None) served within
+        ``[from_, until]``, as ``records[lo:hi]`` of the returned tuple,
+        which is in snapshot order. Costs O(log N)."""
+        if set_spec is None:
+            listing = self._index.everything
+        else:
+            listing = self._index.by_set.get(set_spec, _EMPTY_LISTING)
+        lo = 0 if from_ is None else bisect_left(listing.stamps, from_)
+        hi = bisect_right(listing.stamps, until, lo)
+        return listing.records, lo, hi
 
 
 # ---------------------------------------------------------------------------

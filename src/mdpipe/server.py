@@ -14,10 +14,11 @@ import hashlib
 import hmac
 import json
 import secrets as _secrets
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Callable
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qsl, urlsplit
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import OaiProtocolError
@@ -169,13 +170,12 @@ class OaiServer:
 
     # -- verbs
 
-    def _visible(self, now: datetime) -> list[StoredRecord]:
-        return [r for r in self.snapshot.records if r.served_datestamp <= now]
-
     def _identify(self, now) -> bytes:
-        visible = self._visible(now)
-        earliest = (format_datestamp(min(r.served_datestamp for r in visible))
-                    if visible else "1970-01-01T00:00:00Z")
+        # records are in datestamp order: the first is the earliest
+        records = self.snapshot.records
+        earliest = (format_datestamp(records[0].served_datestamp)
+                    if records and records[0].served_datestamp <= now
+                    else "1970-01-01T00:00:00Z")
         body = (
             "<Identify>"
             f"<repositoryName>{escape(self.config.repository_name)}"
@@ -265,16 +265,15 @@ class OaiServer:
         if prefix not in EXPORT_FORMATS:
             raise OaiProtocolError("cannotDisseminateFormat", prefix)
 
-        matches = [
-            r for r in self._visible(now)
-            if (from_ is None or r.served_datestamp >= from_)
-            and (until is None or r.served_datestamp <= until)
-            and (set_spec is None or r.collection_id == set_spec)
-        ]
-        if not matches:
+        # records served after `now` are not visible yet
+        visible_until = now if until is None else min(now, until)
+        records, lo, hi = self.snapshot.select(set_spec, from_, visible_until)
+        if lo == hi:
             raise OaiProtocolError("noRecordsMatch", "no records in window")
+        size = hi - lo
 
-        page = matches[position:position + self.config.page_size]
+        start = lo + position
+        page = records[start:min(start + self.config.page_size, hi)]
         next_pos = position + len(page)
 
         if verb == "ListIdentifiers":
@@ -283,17 +282,17 @@ class OaiServer:
             items = "".join(self._serialize_record(r, prefix) for r in page)
 
         token_el = ""
-        if next_pos < len(matches):
+        if next_pos < size:
             state = {"prefix": prefix, "set": set_spec,
                      "from": format_datestamp(from_) if from_ else None,
                      "until": format_datestamp(until) if until else None}
             token = self.mint_token(state, next_pos)
             token_el = (
-                f'<resumptionToken completeListSize="{len(matches)}"'
+                f'<resumptionToken completeListSize="{size}"'
                 f' cursor="{position}">{escape(token)}</resumptionToken>')
         elif position > 0:
             # closing empty token on the final page of a paged list
-            token_el = (f'<resumptionToken completeListSize="{len(matches)}"'
+            token_el = (f'<resumptionToken completeListSize="{size}"'
                         f' cursor="{position}"></resumptionToken>')
 
         body = f"<{verb}>{items}{token_el}</{verb}>"
@@ -324,9 +323,20 @@ class OaiServer:
     # Transport adapter (in-process harvesting of this server)
 
     def handle_url(self, url: str) -> bytes:
-        params = {k: v[0] for k, v in parse_qs(urlsplit(url).query).items()}
-        verb = params.pop("verb", "")
-        return self.handle_request(verb, params)
+        """Answer a request URL. OAI-PMH forbids repeating an argument: a
+        repeated verb is badVerb, any other repeat badArgument. Empty values
+        are kept, so the verb's own checks reject them."""
+        pairs = parse_qsl(urlsplit(url).query, keep_blank_values=True)
+        counts = Counter(key for key, _ in pairs)
+        if counts["verb"] > 1:
+            return self._error_response(None, "badVerb", "repeated verb")
+        args = dict(pairs)
+        verb = args.pop("verb", "")
+        repeated = sorted(key for key, n in counts.items() if n > 1)
+        if repeated and verb in _VERB_ARGS:   # else badVerb comes first
+            return self._error_response(
+                verb, "badArgument", f"repeated arguments: {repeated}")
+        return self.handle_request(verb, args)
 
     def transport(self) -> "_ServerTransport":
         return _ServerTransport(self)

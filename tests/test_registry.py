@@ -255,3 +255,34 @@ def test_replay_rebuilds_identical_state(tmp_path, repo):
 def test_replay_of_missing_log_is_empty(tmp_path):
     replayed = Registry.replay(tmp_path / "absent.jsonl")
     assert replayed.collection_ids() == []
+
+
+def test_replay_cuts_torn_final_line_and_appends_cleanly(tmp_path, repo,
+                                                         caplog):
+    path = tmp_path / "events.jsonl"
+    registry = Registry(log_path=path)
+    registry.register_collection(_config(), PassingReport(), repo, T0)
+    registry.record_attempt(_attempt(at=T0, mode="full", through=T0))
+    intact = path.read_bytes()
+    # a crash in the middle of appending the next event
+    path.write_bytes(intact + b'{"type": "attempt", "collection_id": "co')
+
+    replayed = Registry.replay(path)
+    assert "torn final line" in caplog.text
+    assert path.read_bytes() == intact
+    assert replayed.state("coll-1") == registry.state("coll-1")
+
+    replayed.record_attempt(_attempt(at=T0 + timedelta(days=1),
+                                     through=T0 + timedelta(days=1)))
+    again = Registry.replay(path)
+    assert again.state("coll-1") == replayed.state("coll-1")
+    assert again.stats() == replayed.stats()
+
+
+def test_replay_still_rejects_a_bad_line_before_the_last(tmp_path, repo):
+    path = tmp_path / "events.jsonl"
+    registry = Registry(log_path=path)
+    registry.register_collection(_config(), PassingReport(), repo, T0)
+    path.write_bytes(b'{"type": "reg\n' + path.read_bytes())
+    with pytest.raises(ValueError):
+        Registry.replay(path)

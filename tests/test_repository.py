@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 from datetime import datetime, timedelta, timezone
 
@@ -153,6 +154,14 @@ def test_publish_snapshot_isolation(repo):
     repo.insert(_doc([("oai:x:99", "t99")]), now=T0 + timedelta(hours=5))
     assert snap.manifest.record_count == 6
     assert snap.by_identifier(repo.mint_identifier("coll-1", "oai:x:99")) is None
+
+
+def test_snapshot_lookups_refuse_records_out_of_datestamp_order(repo):
+    repo.insert(_doc([("oai:x:1", "t1")]), now=T0)
+    snap = repo.publish(now=T0 + timedelta(hours=4))
+    shuffled = dataclasses.replace(snap, records=snap.records[::-1])
+    with pytest.raises(ValueError):
+        shuffled.by_identifier(snap.records[0].repo_identifier)
 
 
 def test_publish_without_writes_is_identical(repo):

@@ -1,15 +1,22 @@
 """Provider endpoint: verbs, paging, tokens, and datestamp visibility."""
 
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdpipe import model
 from mdpipe.client import OaiClient
 from mdpipe.ingest import TransformConfig, build_db_insert, safe_transform
 from mdpipe.model import DcElement, MetadataRecord, RecordHeader
-from mdpipe.repository import Repository
+from mdpipe.repository import (
+    Repository,
+    ServingSnapshot,
+    SnapshotManifest,
+    StoredRecord,
+)
 from mdpipe.server import OaiServer, ServerConfig
 
 UTC = timezone.utc
@@ -305,3 +312,155 @@ def test_client_can_harvest_this_server(server):
     assert result.success
     assert len(result.records) == 26
     assert result.pages_fetched == 3
+
+
+# ---------------------------------------------------------------------------
+# Request URLs: repeated and empty arguments
+
+
+@pytest.mark.parametrize("query, code", [
+    ("verb=Identify&verb=ListSets", "badVerb"),
+    ("verb=ListRecords&metadataPrefix=oai_dc&metadataPrefix=marc21",
+     "badArgument"),
+    ("verb=ListRecords&metadataPrefix=oai_dc&set=coll-1&set=coll-1",
+     "badArgument"),
+    ("verb=ListRecords&metadataPrefix=oai_dc&from=", "badArgument"),
+    ("verb=ListIdentifiers&metadataPrefix=", "badArgument"),
+    ("verb=Frobnicate&metadataPrefix=a&metadataPrefix=b", "badVerb"),
+    ("metadataPrefix=oai_dc", "badVerb"),
+])
+def test_handle_url_rejects_repeated_and_empty_arguments(server, query,
+                                                         code):
+    assert _error_code(server.handle_url(f"/oai?{query}")) == code
+
+
+# ---------------------------------------------------------------------------
+# List requests against a brute-force filter of the snapshot
+
+
+def _stored(ident, coll, stamp, deleted):
+    return StoredRecord(
+        repo_identifier=ident, collection_id=coll, source_identifier=ident,
+        original_raw=b"", original_format="oai_dc", provider_datestamp=T0,
+        normalized_rows=(), served_datestamp=stamp, deleted=deleted,
+        exports={} if deleted else {"oai_dc": b"<dc/>"})
+
+
+@st.composite
+def _snapshots(draw):
+    # few distinct datestamps, so equal datestamps are common
+    rows = draw(st.lists(st.tuples(st.integers(0, 12),
+                                   st.sampled_from(["s1", "s2", "s3"]),
+                                   st.booleans()),
+                         max_size=30))
+    records = sorted(
+        (_stored(f"oai:t:{i:02d}", coll, T0 + timedelta(hours=h), deleted)
+         for i, (h, coll, deleted) in enumerate(rows)),
+        key=lambda r: (r.served_datestamp, r.repo_identifier))
+    return ServingSnapshot(records=tuple(records), snapshot_id="snap",
+                           manifest=SnapshotManifest(len(records), T0, "c"))
+
+
+def _walk(srv, verb, args, now):
+    """Follow a list's token chain: (headers, per-page (size, cursor), error
+    code)."""
+    headers, tokens = [], []
+    resp = srv.handle_request(verb, args, now)
+    while True:
+        root = _root(resp)
+        err = root.find(f"{OAI}error")
+        if err is not None:
+            return headers, tokens, err.get("code")
+        for h in root.iter(f"{OAI}header"):
+            headers.append((h.findtext(f"{OAI}identifier"),
+                            h.findtext(f"{OAI}datestamp"),
+                            h.get("status") == "deleted",
+                            h.findtext(f"{OAI}setSpec")))
+        token = root.find(f"{OAI}{verb}/{OAI}resumptionToken")
+        if token is None:
+            return headers, tokens, None
+        tokens.append((int(token.get("completeListSize")),
+                       int(token.get("cursor"))))
+        if not token.text:
+            return headers, tokens, None
+        resp = srv.handle_request(verb, {"resumptionToken": token.text}, now)
+
+
+_hours = st.none() | st.integers(-1, 14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(snapshot=_snapshots(), verb=st.sampled_from(["ListRecords",
+                                                    "ListIdentifiers"]),
+       set_spec=st.none() | st.sampled_from(["s1", "s2", "unknown"]),
+       from_h=_hours, until_h=_hours, now_h=st.integers(-1, 14),
+       page_size=st.integers(1, 4))
+def test_list_walk_equals_brute_force_filter(snapshot, verb, set_spec,
+                                             from_h, until_h, now_h,
+                                             page_size):
+    at = lambda h: None if h is None else T0 + timedelta(hours=h)
+    from_, until, now = at(from_h), at(until_h), at(now_h)
+    srv = OaiServer(ServerConfig(page_size=page_size), snapshot,
+                    clock=lambda: T0, secret=b"k")
+    args = {"metadataPrefix": "oai_dc"}
+    if set_spec is not None:
+        args["set"] = set_spec
+    if from_ is not None:
+        args["from"] = model.format_datestamp(from_)
+    if until is not None:
+        args["until"] = model.format_datestamp(until)
+    headers, tokens, code = _walk(srv, verb, args, now)
+
+    if from_ is not None and until is not None and from_ > until:
+        assert code == "badArgument"
+        return
+    expected = [
+        (r.repo_identifier, model.format_datestamp(r.served_datestamp),
+         r.deleted, r.collection_id)
+        for r in snapshot.records
+        if r.served_datestamp <= now
+        and (from_ is None or r.served_datestamp >= from_)
+        and (until is None or r.served_datestamp <= until)
+        and (set_spec is None or r.collection_id == set_spec)]
+    if not expected:
+        assert (headers, tokens, code) == ([], [], "noRecordsMatch")
+        return
+    assert code is None
+    assert headers == expected
+    pages = range(0, len(expected), page_size)
+    assert tokens == ([(len(expected), cursor) for cursor in pages]
+                      if len(pages) > 1 else [])
+
+
+class _CountingRecords(tuple):
+    """A snapshot's records that count how often they are iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_pages_after_the_first_request_do_not_rescan_records(server):
+    records = _CountingRecords(server.snapshot.records)
+    server.set_snapshot(replace(server.snapshot, records=records))
+    resp = server.handle_request("ListRecords", {"metadataPrefix": "oai_dc"})
+    built = records.iterations
+    assert built > 0
+
+    pages = 1
+    while (token := model.parse_list_response(resp, "oai_dc").token).token:
+        resp = server.handle_request("ListRecords",
+                                     {"resumptionToken": token.token})
+        pages += 1
+    target = records[-1].repo_identifier
+    for verb, args in [
+            ("ListIdentifiers", {"metadataPrefix": "oai_dc", "set": "coll-1",
+                                 "from": "2006-02-28T00:00:00Z"}),
+            ("GetRecord", {"identifier": target, "metadataPrefix": "oai_dc"}),
+            ("ListMetadataFormats", {"identifier": target}),
+            ("ListSets", {}), ("Identify", {})]:
+        assert _error_code(server.handle_request(verb, args)) is None
+    assert pages == 3
+    assert records.iterations == built
