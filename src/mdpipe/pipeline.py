@@ -42,6 +42,19 @@ def run_harvest(registry: Registry, repository: Repository,
     stream completed."""
     cfg = transform_config or TransformConfig.default()
     mode = registry.begin(collection_id)
+    try:
+        return _harvest(registry, repository, client, collection_id, now,
+                        cfg, mode)
+    except BaseException:
+        # no attempt is recorded, so the watermark stays; clear the
+        # in-flight mark so the collection is due again
+        registry.abandon(collection_id)
+        raise
+
+
+def _harvest(registry: Registry, repository: Repository, client: OaiClient,
+             collection_id: str, now: datetime, cfg: TransformConfig,
+             mode: str) -> HarvestOutcome:
     state = registry.state(collection_id)
     config = state.config
 

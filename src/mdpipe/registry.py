@@ -186,6 +186,11 @@ class Registry:
         self._running.add(collection_id)
         return decide_mode(state)
 
+    def abandon(self, collection_id: str) -> None:
+        """Clear the in-flight mark of a harvest that ended without an
+        attempt to record (it raised), so the collection can be due again."""
+        self._running.discard(collection_id)
+
     def record_attempt(self, attempt: HarvestAttempt) -> CollectionState:
         state = self.state(attempt.collection_id)
         new_state = apply_attempt(state, attempt)

@@ -1,11 +1,18 @@
-"""Metadata repository: durable original + shredded normalized storage,
+"""Metadata repository: durable original + normalized element storage,
 derived export formats, postdated served-datestamps, and staging-to-serving
 snapshot promotion.
 
-Storage is an in-process ordered map with three logical namespaces
-(parsed input, generated exports, serving index) persisted as a JSON state
-file in the data directory; no external database is involved. Writes
-serialize through one lock; published snapshots are immutable.
+Storage is an in-process ordered map persisted as a JSON state file in the
+data directory; no external database is involved. Writes serialize through
+one lock; published snapshots are immutable.
+
+Each record's five export payloads are a pure function of its normalized
+elements, its original bytes, ``native_public`` and its collection's repo
+id. They are built eagerly in memory at insert, and again by ``load``, but
+never persisted: the state file (``version`` 2) holds only what they are
+derived from. ``save`` replaces the file atomically (temp file, fsync,
+``os.replace``), and ``load`` upgrades a version 1 file, which carried the
+exports as base64 and a ``position`` per element row.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -38,37 +46,8 @@ EXPORT_FORMATS = ("nsdl_dc", "oai_dc", "nsdl_links", "nsdl_search", "nsdl_all")
 
 DEFAULT_POSTDATE_OFFSET = timedelta(hours=3)
 
-
-@dataclass(frozen=True)
-class ElementRow:
-    """One shredded element-value row of a normalized record."""
-
-    name: str
-    qualifier: str | None
-    scheme: str | None
-    value: str
-    language: str | None
-    position: int
-
-
-def shred(record: NormalizedRecord) -> tuple[ElementRow, ...]:
-    return tuple(
-        ElementRow(name=el.name, qualifier=el.qualifier, scheme=el.scheme,
-                   value=el.value, language=el.language, position=i)
-        for i, el in enumerate(record.elements)
-    )
-
-
-def assemble(rows: tuple[ElementRow, ...],
-             source_identifier: str) -> NormalizedRecord:
-    ordered = sorted(rows, key=lambda r: r.position)
-    return NormalizedRecord(
-        source_identifier=source_identifier,
-        elements=tuple(
-            DcElement(name=r.name, value=r.value, qualifier=r.qualifier,
-                      scheme=r.scheme, language=r.language)
-            for r in ordered),
-    )
+#: the ``version`` that ``Repository.save`` writes
+STATE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -79,7 +58,7 @@ class StoredRecord:
     original_raw: bytes
     original_format: str
     provider_datestamp: datetime
-    normalized_rows: tuple[ElementRow, ...]
+    normalized_rows: tuple[DcElement, ...]   # the normalized elements, in order
     served_datestamp: datetime
     deleted: bool = False
     native_public: bool = True
@@ -89,7 +68,7 @@ class StoredRecord:
 
     @property
     def normalized(self) -> NormalizedRecord:
-        return assemble(self.normalized_rows, self.source_identifier)
+        return NormalizedRecord(self.source_identifier, self.normalized_rows)
 
 
 @dataclass(frozen=True)
@@ -195,9 +174,9 @@ def build_links(record: StoredRecord,
 
 def _build_exports(record: StoredRecord,
                    collection_repo_id: str | None) -> dict[str, bytes]:
-    normalized = record.normalized
-    nsdl_dc = model.serialize_dc_payload("nsdl_dc", normalized.elements)
-    oai_dc = model.serialize_dc_payload("oai_dc", dumb_down(normalized.elements))
+    elements = record.normalized_rows
+    nsdl_dc = model.serialize_dc_payload("nsdl_dc", elements)
+    oai_dc = model.serialize_dc_payload("oai_dc", dumb_down(elements))
     links = build_links(record, collection_repo_id)
 
     def combined(include_native: bool) -> bytes:
@@ -257,8 +236,6 @@ class Repository:
         membership links for every item in the collection."""
         with self._lock:
             repo_id = f"oai:{self.domain}:collections/{collection_id}"
-            normalized = NormalizedRecord(source_identifier=repo_id,
-                                          elements=elements)
             record = StoredRecord(
                 repo_identifier=repo_id,
                 collection_id=collection_id,
@@ -266,7 +243,7 @@ class Repository:
                 original_raw=model.serialize_dc_payload("nsdl_dc", elements),
                 original_format="nsdl_dc",
                 provider_datestamp=now,
-                normalized_rows=shred(normalized),
+                normalized_rows=tuple(elements),
                 served_datestamp=now + self.postdate_offset,
                 is_collection=True,
             )
@@ -297,7 +274,7 @@ class Repository:
                     original_raw=entry.original.raw_xml,
                     original_format=entry.original.format_prefix,
                     provider_datestamp=entry.original.header.datestamp,
-                    normalized_rows=shred(entry.normalized),
+                    normalized_rows=tuple(entry.normalized.elements),
                     served_datestamp=now + self.postdate_offset,
                     native_public=native_public,
                     schema_warning=bool(violations),
@@ -344,7 +321,7 @@ class Repository:
     def count(self) -> int:
         return len(self._records)
 
-    # -- element queries over the shredded rows
+    # -- element queries over the normalized elements
 
     def fetchable_uri_values(self, record: StoredRecord) -> list[str]:
         return [row.value for row in record.normalized_rows
@@ -393,30 +370,64 @@ class Repository:
     # -- persistence
 
     def save(self, path: str | Path) -> None:
+        """Write the state file atomically: a reader, or a restart after a
+        crash, sees either the previous file or the new one, never a torn
+        one."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with self._lock:
             state = {
-                "version": 1,
+                "version": STATE_VERSION,
                 "domain": self.domain,
                 "postdate_offset_seconds": int(
                     self.postdate_offset.total_seconds()),
                 "collections": dict(self._collections),
                 "records": [_record_to_json(r) for r in self._records.values()],
             }
-        path.write_text(json.dumps(state))
+        data = json.dumps(state).encode()
+        # one temp name per writer, next to the target so that the replace
+        # stays on one file system
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            with open(tmp, "wb") as f:
+                f.write(data)
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str | Path,
              profile: Profile | None = None) -> "Repository":
+        """Read a state file, upgrading version 1, and rebuild every
+        record's exports."""
         state = json.loads(Path(path).read_text())
+        version = state.get("version")
+        if version == STATE_VERSION:
+            elements_of = _elements_v2
+        elif version == 1:
+            elements_of = _elements_v1
+        else:
+            raise ValueError(f"unsupported repository state version "
+                             f"{version!r} in {path}")
         repo = cls(domain=state["domain"],
                    postdate_offset=timedelta(
                        seconds=state["postdate_offset_seconds"]),
                    profile=profile)
         repo._collections = dict(state["collections"])
         for rec_json in state["records"]:
-            record = _record_from_json(rec_json)
+            record = _record_from_json(rec_json, elements_of(rec_json["rows"]))
+            if record.deleted:
+                exports = {}
+            elif record.is_collection:
+                exports = _build_exports(record, None)
+            else:
+                exports = _build_exports(
+                    record, repo._collections.get(record.collection_id))
+            record = replace(record, exports=exports)
             repo._records[record.repo_identifier] = record
             repo._by_source[(record.collection_id,
                              record.source_identifier)] = record.repo_identifier
@@ -431,19 +442,33 @@ def _record_to_json(r: StoredRecord) -> dict:
         "original_raw": base64.b64encode(r.original_raw).decode(),
         "original_format": r.original_format,
         "provider_datestamp": format_datestamp(r.provider_datestamp),
-        "rows": [[row.name, row.qualifier, row.scheme, row.value,
-                  row.language, row.position] for row in r.normalized_rows],
+        "rows": [[el.name, el.value, el.qualifier, el.scheme, el.language]
+                 for el in r.normalized_rows],
         "served_datestamp": format_datestamp(r.served_datestamp),
         "deleted": r.deleted,
         "native_public": r.native_public,
         "is_collection": r.is_collection,
         "schema_warning": r.schema_warning,
-        "exports": {k: base64.b64encode(v).decode()
-                    for k, v in (r.exports or {}).items()},
     }
 
 
-def _record_from_json(d: dict) -> StoredRecord:
+def _elements_v2(rows: list) -> tuple[DcElement, ...]:
+    """``[name, value, qualifier, scheme, language]`` rows, in order."""
+    return tuple(DcElement(*row) for row in rows)
+
+
+def _elements_v1(rows: list) -> tuple[DcElement, ...]:
+    """``[name, qualifier, scheme, value, language, position]`` rows, in
+    any order."""
+    return tuple(
+        DcElement(name=name, value=value, qualifier=qualifier,
+                  scheme=scheme, language=language)
+        for name, qualifier, scheme, value, language, _ in sorted(
+            rows, key=lambda row: row[5]))
+
+
+def _record_from_json(d: dict,
+                      elements: tuple[DcElement, ...]) -> StoredRecord:
     return StoredRecord(
         repo_identifier=d["repo_identifier"],
         collection_id=d["collection_id"],
@@ -451,11 +476,10 @@ def _record_from_json(d: dict) -> StoredRecord:
         original_raw=base64.b64decode(d["original_raw"]),
         original_format=d["original_format"],
         provider_datestamp=model.parse_datestamp(d["provider_datestamp"]),
-        normalized_rows=tuple(ElementRow(*row) for row in d["rows"]),
+        normalized_rows=elements,
         served_datestamp=model.parse_datestamp(d["served_datestamp"]),
         deleted=d["deleted"],
         native_public=d["native_public"],
         is_collection=d["is_collection"],
         schema_warning=d["schema_warning"],
-        exports={k: base64.b64decode(v) for k, v in d["exports"].items()},
     )

@@ -133,3 +133,31 @@ def test_run_due_harvests_publishes_snapshot():
     snapshot = repo.publish(NOW)
     assert snapshot.manifest.record_count == 13
     assert registry.schedule_due(NOW + timedelta(hours=1)) == []
+
+
+def test_raising_insert_clears_in_flight_mark(monkeypatch):
+    scripts = list(make_scenario(12).records)
+    target = scripts[4]
+    scripts[4] = SimRecordScript(target.identifier, target.events + (
+        TimelineEvent(NOW + timedelta(days=1), "update",
+                      target.events[0].elements),))
+    provider, client, registry, repo = _setup(
+        SimScenario(records=tuple(scripts)))
+    run_harvest(registry, repo, client, "coll-1", NOW)
+    later = NOW + timedelta(days=2)
+    provider.advance(later)
+
+    def broken_insert(*args, **kwargs):
+        raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(repo, "insert", broken_insert)
+    with pytest.raises(RuntimeError):
+        run_harvest(registry, repo, client, "coll-1", later)
+    state = registry.state("coll-1")
+    assert state.watermark == NOW
+    assert state.last_attempt_at == NOW
+    assert registry.schedule_due(later) == ["coll-1"]
+    monkeypatch.undo()
+    outcomes = run_due_harvests(registry, repo, client, later)
+    assert [(o.attempt.success, o.inserted) for o in outcomes] == [(True, 1)]
+    assert registry.state("coll-1").watermark == later

@@ -1,4 +1,6 @@
+import base64
 import dataclasses
+import json
 import threading
 from datetime import datetime, timedelta, timezone
 
@@ -6,9 +8,9 @@ import pytest
 
 from mdpipe import ingest, model, repository
 from mdpipe.errors import UnknownCollection, UnknownIdentifier
-from mdpipe.ingest import NormalizedRecord, TransformConfig, build_db_insert, safe_transform
+from mdpipe.ingest import TransformConfig, build_db_insert, safe_transform
 from mdpipe.model import DcElement, MetadataRecord, RecordHeader
-from mdpipe.repository import Repository, assemble, dumb_down, shred
+from mdpipe.repository import Repository, dumb_down
 
 UTC = timezone.utc
 CFG = TransformConfig.default()
@@ -58,15 +60,6 @@ def test_insert_unknown_collection():
     r = Repository()
     with pytest.raises(UnknownCollection):
         r.insert(_doc([("oai:x:1", "t")], collection="nope"), now=T0)
-
-
-def test_shred_assemble_roundtrip():
-    norm = NormalizedRecord("oai:x:1", (
-        DcElement("title", "T"),
-        DcElement("identifier", "http://e/x", scheme="URI"),
-        DcElement("description", "D", qualifier="abstract", language="en"),
-    ))
-    assert assemble(shred(norm), "oai:x:1") == norm
 
 
 def test_dumb_down_erases_qualifiers_and_schemes():
@@ -229,10 +222,172 @@ def test_schema_warning_flag_for_invalid_records(repo):
 def test_save_load_roundtrip(tmp_path, repo):
     repo.insert(_doc([("oai:x:1", "t1"), ("oai:x:2", "t2")]), now=T0)
     repo.mark_deleted(repo.mint_identifier("coll-1", "oai:x:2"), now=T0)
+    repo.register_collection_record(
+        "coll-2", (DcElement("title", "Private natives"),), T0)
+    repo.insert(_doc([("oai:y:1", "u1"), ("oai:y:2", "u2")],
+                     collection="coll-2"), now=T0, native_public=False)
+    repo.delete_by_source("coll-2", "oai:y:2", now=T0 + timedelta(hours=1))
     path = tmp_path / "staging.json"
     repo.save(path)
     loaded = Repository.load(path)
     assert loaded.count() == repo.count()
+    for original in repo._records.values():
+        assert loaded.get(original.repo_identifier).exports == original.exports
+    state = json.loads(path.read_text())
+    assert state["version"] == 2
+    assert not any("exports" in r for r in state["records"])
     s1 = repo.publish(now=T0)
     s2 = loaded.publish(now=T0)
     assert s1.manifest.checksum == s2.manifest.checksum
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode()
+
+
+# A version 1 state file as the previous release wrote it, except that its
+# base64 exports are replaced by a stale payload (load must rebuild them, not
+# read them) and the item's rows are stored out of ``position`` order.
+_STALE = {fmt: _b64(b"<stale/>") for fmt in repository.EXPORT_FORMATS}
+_V1_STATE = {
+    "version": 1, "domain": "t.example", "postdate_offset_seconds": 10800,
+    "collections": {"c": "oai:t.example:collections/c"},
+    "records": [
+        {"repo_identifier": "oai:t.example:collections/c",
+         "collection_id": "c",
+         "source_identifier": "oai:t.example:collections/c",
+         "original_raw": _b64(
+             b'<qdc:dc xmlns:qdc="urn:x-mdpipe:qdc" '
+             b'xmlns:dc="http://purl.org/dc/elements/1.1/">'
+             b'<dc:title>C</dc:title></qdc:dc>'),
+         "original_format": "nsdl_dc",
+         "provider_datestamp": "2006-01-25T12:00:00Z",
+         "rows": [["title", None, None, "C", None, 0]],
+         "served_datestamp": "2006-01-25T15:00:00Z",
+         "deleted": False, "native_public": True, "is_collection": True,
+         "schema_warning": False, "exports": _STALE},
+        {"repo_identifier": "oai:t.example:c/b7348ffd685d297e1dc2c0199372b418",
+         "collection_id": "c", "source_identifier": "s:1",
+         "original_raw": _b64(
+             b'<oai_dc:dc xmlns:oai_dc="http://www.openarchives.org/OAI/2.0/'
+             b'oai_dc/" xmlns:dc="http://purl.org/dc/elements/1.1/">'
+             b'<dc:title>T</dc:title>'
+             b'<dc:identifier scheme="URI">http://e/1</dc:identifier>'
+             b'<dc:description qualifier="abstract" xml:lang="en">D'
+             b'</dc:description></oai_dc:dc>'),
+         "original_format": "oai_dc",
+         "provider_datestamp": "2006-01-24T12:00:00Z",
+         "rows": [["description", "abstract", None, "D", "en", 2],
+                  ["title", None, None, "T", None, 0],
+                  ["identifier", None, "URI", "http://e/1", None, 1]],
+         "served_datestamp": "2006-01-25T15:00:00Z",
+         "deleted": False, "native_public": False, "is_collection": False,
+         "schema_warning": False, "exports": _STALE},
+        {"repo_identifier": "oai:t.example:c/4f3d415d0e615ae7406d16be971d5620",
+         "collection_id": "c", "source_identifier": "s:2",
+         "original_raw": _b64(
+             b'<oai_dc:dc xmlns:oai_dc="http://www.openarchives.org/OAI/2.0/'
+             b'oai_dc/" xmlns:dc="http://purl.org/dc/elements/1.1/">'
+             b'<dc:title>U</dc:title></oai_dc:dc>'),
+         "original_format": "oai_dc",
+         "provider_datestamp": "2006-01-24T12:00:00Z",
+         "rows": [["title", None, None, "U", None, 0]],
+         "served_datestamp": "2006-01-25T16:00:00Z",
+         "deleted": True, "native_public": False, "is_collection": False,
+         "schema_warning": False, "exports": {}},
+    ],
+}
+# what the previous release's publish(T0) returned for the repository that
+# wrote this file
+_V1_CHECKSUM = \
+    "9b15ccc73e69c8c4036f7999caace0ba2342aaeded41d9d9b28c0130b9fe9da9"
+
+
+def _v1_writer() -> Repository:
+    """The calls that built the repository behind ``_V1_STATE``."""
+    r = Repository(domain="t.example")
+    r.register_collection_record("c", (DcElement("title", "C"),), T0)
+    pairs = []
+    for ident, elements in [
+            ("s:1", [DcElement("title", "T"),
+                     DcElement("identifier", "http://e/1", scheme="URI"),
+                     DcElement("description", "D", qualifier="abstract",
+                               language="en")]),
+            ("s:2", [DcElement("title", "U")])]:
+        rec = _record(ident, elements)
+        pairs.append((rec, safe_transform(rec, CFG)))
+    r.insert(build_db_insert(pairs, "c", "x"), now=T0, native_public=False)
+    r.delete_by_source("c", "s:2", now=T0 + timedelta(hours=1))
+    return r
+
+
+def test_load_upgrades_version_1(tmp_path):
+    path = tmp_path / "repository.json"
+    path.write_text(json.dumps(_V1_STATE))
+    loaded = Repository.load(path)
+    writer = _v1_writer()
+    assert loaded.publish(now=T0).manifest.checksum == _V1_CHECKSUM
+    assert writer.publish(now=T0).manifest.checksum == _V1_CHECKSUM
+    for original in writer._records.values():
+        rec = loaded.get(original.repo_identifier)
+        assert rec.normalized_rows == original.normalized_rows
+        assert rec.exports == original.exports
+    assert loaded.get("oai:t.example:c/4f3d415d0e615ae7406d16be971d5620"
+                      ).exports == {}
+    loaded.save(path)
+    assert json.loads(path.read_text())["version"] == 2
+    assert Repository.load(path).publish(now=T0).manifest.checksum == \
+        _V1_CHECKSUM
+
+
+@pytest.mark.parametrize("version", [0, 3, None])
+def test_load_rejects_unknown_version(tmp_path, version):
+    state = dict(_V1_STATE, version=version)
+    path = tmp_path / "repository.json"
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match=f"version {version!r}"):
+        Repository.load(path)
+
+
+class _TornFile:
+    """A file whose write stores half of the data, then fails."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        self._f.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("fault", ["write", "fsync", "replace"])
+def test_failed_save_keeps_previous_state(tmp_path, repo, monkeypatch, fault):
+    path = tmp_path / "state" / "repository.json"
+    repo.save(path)
+    before = path.read_bytes()
+    checksum = Repository.load(path).publish(now=T0).manifest.checksum
+    repo.insert(_doc([("oai:x:1", "t1")]), now=T0)
+
+    def boom(*args, **kwargs):
+        raise OSError("injected")
+
+    if fault == "write":
+        monkeypatch.setattr(repository, "open",
+                            lambda *a, **k: _TornFile(open(*a, **k)),
+                            raising=False)
+    else:
+        monkeypatch.setattr(repository.os, fault, boom)
+    with pytest.raises(OSError):
+        repo.save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert Repository.load(path).publish(now=T0).manifest.checksum == checksum
+    assert sorted(p.name for p in path.parent.iterdir()) == ["repository.json"]
+    repo.save(path)
+    assert Repository.load(path).count() == repo.count()
