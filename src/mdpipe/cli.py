@@ -124,8 +124,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def cmd_validate(args, state: State) -> int:
     report = validate_provider(args.base_url, _transport(args),
-                               format_prefix=args.format,
-                               rng_seed=args.seed)
+                               format_prefix=args.format)
     lines = [f"{args.base_url}: {report.verdict}"]
     if report.transport_error:
         lines.append(f"  unreachable: {report.transport_error}")
@@ -141,14 +140,13 @@ def cmd_validate(args, state: State) -> int:
 def cmd_register(args, state: State) -> int:
     now = _parse_at(args.at)
     report = validate_provider(args.base_url, _transport(args),
-                               format_prefix=args.format, rng_seed=args.seed)
+                               format_prefix=args.format)
     config = CollectionConfig(
         collection_id=args.collection_id, base_url=args.base_url,
         format_prefix=args.format, set_spec=args.set,
         deleted_policy=args.policy, title=args.title or args.collection_id,
         native_public=not args.native_private)
     state.state_dir.mkdir(parents=True, exist_ok=True)
-    state.registry.log_path = state.registry_path
     try:
         repo_id = state.registry.register_collection(
             config, report, state.repository, now)
@@ -378,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("validate", cmd_validate, "run conformance checks on a provider")
     p.add_argument("base_url")
     p.add_argument("--format", default="oai_dc")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scenario", help="validate a simulated provider")
     p.add_argument("--at")
 
@@ -392,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--title", default="")
     p.add_argument("--native-private", action="store_true",
                    help="exclude native records from the full-dump format")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scenario")
     p.add_argument("--at")
 

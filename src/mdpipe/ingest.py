@@ -1,8 +1,9 @@
 """Safe-transform normalization and dbInsert staging.
 
 The transform applies one global rule set to every record; there are no
-collection-specific branches. Rules fire in a fixed order and the whole
-transform is a fixed point: applying it twice changes nothing.
+collection-specific branches. Each element passes the rules once, in a
+fixed order, and the whole transform is a fixed point: applying it twice
+changes nothing.
 """
 
 from __future__ import annotations
@@ -54,36 +55,30 @@ class Profile:
     def default(cls) -> "Profile":
         return cls.from_dict(_load_data("profile.json"))
 
-    @classmethod
-    def load(cls, path: str) -> "Profile":
-        with open(path, "rb") as f:
-            return cls.from_dict(json.load(f))
-
 
 @dataclass(frozen=True)
 class TransformConfig:
+    """The safe transform's vocabularies, read from the data files shipped
+    in ``mdpipe.data``.
+
+    ``safe_transform`` is a fixed point in one application only if these
+    hold: every stop phrase is lowercase with single inner spaces (its own
+    collapsed form); no language-map value and no lowercased DCMI type is
+    a stop phrase; and every language-map value normalizes to itself.
+    """
+
     stop_phrases: frozenset[str]
     dcmi_types: dict[str, str]          # lowercase -> canonical casing
     languages: dict[str, str]           # lowercase -> normalized tag
-    profile: Profile
 
     @classmethod
-    def default(cls, stop_phrase_path: str | None = None,
-                profile_path: str | None = None) -> "TransformConfig":
-        if stop_phrase_path:
-            with open(stop_phrase_path, "rb") as f:
-                phrases = json.load(f)["phrases"]
-        else:
-            phrases = _load_data("stop_phrases.json")["phrases"]
+    def default(cls) -> "TransformConfig":
+        phrases = _load_data("stop_phrases.json")["phrases"]
         types = _load_data("dcmi_types.json")["types"]
-        langs = _load_data("languages.json")["map"]
-        profile = (Profile.load(profile_path) if profile_path
-                   else Profile.default())
         return cls(
             stop_phrases=frozenset(p.lower() for p in phrases),
             dcmi_types={t.lower(): t for t in types},
-            languages=dict(langs),
-            profile=profile,
+            languages=dict(_load_data("languages.json")["map"]),
         )
 
 
@@ -197,10 +192,13 @@ def safe_transform(record: MetadataRecord,
                    config: TransformConfig | None = None) -> NormalizedRecord:
     """Normalize a harvested DC record into the qualified-DC profile.
 
-    Rule order: stop-phrase drop, whitespace collapse, duplicate removal,
-    scheme qualification (URI / DCMI type / language), URI scrub and
-    downgrade, then a closing duplicate sweep so the transform is
-    idempotent even when scrubbing makes two values collide.
+    Each element is rewritten once, in this order: collapse whitespace;
+    drop it if the collapsed value is a stop phrase; scrub a declared URI,
+    or downgrade it to an unqualified value if it cannot be repaired;
+    qualify identifiers, DCMI types and languages. Exact duplicates are
+    then dropped, first occurrence wins. No step re-enables an earlier
+    one, so one application is the fixed point: a second changes nothing
+    and fires no rule (given the preconditions on TransformConfig).
     """
     if config is None:
         config = TransformConfig.default()
@@ -210,14 +208,17 @@ def safe_transform(record: MetadataRecord,
         if rule not in log:
             log.append(rule)
 
-    # The rule pipeline runs to a fixed point: a downgrade in rule (5) can
-    # expose an element to re-qualification in rule (4) on the next pass.
-    elements = list(record.elements)
-    for _ in range(5):
-        before = tuple(elements)
-        elements = _one_pass(elements, config, fire)
-        if tuple(elements) == before:
-            break
+    elements: list[DcElement] = []
+    seen: set[DcElement] = set()
+    for el in record.elements:
+        el = _rewrite(el, config, fire)
+        if el is None:
+            continue
+        if el in seen:
+            fire(RULE_DEDUP)
+            continue
+        seen.add(el)
+        elements.append(el)
 
     return NormalizedRecord(
         source_identifier=record.header.identifier,
@@ -226,87 +227,47 @@ def safe_transform(record: MetadataRecord,
     )
 
 
-def _one_pass(input_elements, config, fire):
-    # (1) drop no-information-value elements
-    elements = []
-    for el in input_elements:
-        if el.value.strip().lower() in config.stop_phrases:
-            fire(RULE_DROP_NO_VALUE)
-        else:
-            elements.append(el)
+def _rewrite(el: DcElement, config: TransformConfig,
+             fire) -> DcElement | None:
+    """Apply every per-element rule to one element; None drops it. A
+    dropped element fires only the drop rule."""
+    value = " ".join(el.value.split())
+    if value.lower() in config.stop_phrases:
+        fire(RULE_DROP_NO_VALUE)
+        return None
+    if value != el.value:
+        fire(RULE_WHITESPACE)
 
-    # (2) trim and collapse whitespace
-    collapsed = []
-    for el in elements:
-        value = " ".join(el.value.split())
-        if value != el.value:
-            fire(RULE_WHITESPACE)
-            el = DcElement(name=el.name, value=value, qualifier=el.qualifier,
-                           scheme=el.scheme, language=el.language)
-        collapsed.append(el)
-    elements = collapsed
+    scheme = el.scheme
+    if scheme == "URI":
+        scrubbed = scrub_uri(value)
+        if scrubbed is None:
+            fire(RULE_DOWNGRADE_URI)
+            scheme = None
+        elif scrubbed != value:
+            fire(RULE_SCRUB_URI)
+            value = scrubbed
 
-    # (3) drop exact duplicates, first occurrence wins
-    seen = set()
-    deduped = []
-    for el in elements:
-        if el in seen:
-            fire(RULE_DEDUP)
-            continue
-        seen.add(el)
-        deduped.append(el)
-    elements = deduped
+    if el.name == "identifier" and scheme is None:
+        scrubbed = scrub_uri(value)
+        if scrubbed is not None:
+            fire(RULE_QUALIFY_URI)
+            value, scheme = scrubbed, "URI"
+    elif el.name == "type" and scheme is None:
+        canonical = config.dcmi_types.get(value.lower())
+        if canonical is not None:
+            fire(RULE_QUALIFY_DCMI_TYPE)
+            value, scheme = canonical, "DCMIType"
+    elif el.name == "language":
+        normalized = _normalize_language(value, config.languages)
+        if normalized != value:
+            fire(RULE_NORMALIZE_LANGUAGE)
+            value = normalized
 
-    # (4) qualify recognizable encoding schemes
-    qualified = []
-    for el in elements:
-        if el.name == "identifier" and el.scheme is None:
-            scrubbed = scrub_uri(el.value)
-            if scrubbed is not None:
-                fire(RULE_QUALIFY_URI)
-                el = DcElement(name="identifier", value=scrubbed,
-                               qualifier=el.qualifier, scheme="URI",
-                               language=el.language)
-        elif el.name == "type" and el.scheme is None:
-            canonical = config.dcmi_types.get(el.value.lower())
-            if canonical is not None:
-                fire(RULE_QUALIFY_DCMI_TYPE)
-                el = DcElement(name="type", value=canonical,
-                               qualifier=el.qualifier, scheme="DCMIType",
-                               language=el.language)
-        elif el.name == "language":
-            normalized = _normalize_language(el.value, config.languages)
-            if normalized != el.value:
-                fire(RULE_NORMALIZE_LANGUAGE)
-                el = DcElement(name="language", value=normalized,
-                               qualifier=el.qualifier, scheme=el.scheme,
-                               language=el.language)
-        qualified.append(el)
-    elements = qualified
-
-    # (5) scrub declared URIs; downgrade the irreparable ones
-    scrubbed_els = []
-    for el in elements:
-        if el.scheme == "URI":
-            repaired = downgrade_invalid_uri(el)
-            if repaired.scheme is None:
-                fire(RULE_DOWNGRADE_URI)
-            elif repaired.value != el.value:
-                fire(RULE_SCRUB_URI)
-            el = repaired
-        scrubbed_els.append(el)
-    elements = scrubbed_els
-
-    # closing duplicate sweep (scrubbing may have made values collide)
-    seen = set()
-    final = []
-    for el in elements:
-        if el in seen:
-            fire(RULE_DEDUP)
-            continue
-        seen.add(el)
-        final.append(el)
-    return final
+    if value == el.value and scheme == el.scheme:
+        return el
+    return DcElement(name=el.name, value=value, qualifier=el.qualifier,
+                     scheme=scheme, language=el.language)
 
 
 # ---------------------------------------------------------------------------

@@ -367,8 +367,8 @@ class _ListParser:
             ) from exc
 
 
-def _build_record(raw: bytes, rec: _Record, format_prefix: str,
-                  dc_profiles: frozenset[str]) -> MetadataRecord:
+def _build_record(raw: bytes, rec: _Record,
+                  format_prefix: str) -> MetadataRecord:
     if not rec.identifier:
         raise SchemaViolation("record header missing identifier")
     if rec.datestamp is None:
@@ -396,7 +396,7 @@ def _build_record(raw: bytes, rec: _Record, format_prefix: str,
         raise SchemaViolation(f"record {rec.identifier!r} has no metadata payload")
     payload = raw[rec.payload_start:rec.payload_end]
     elements: tuple[DcElement, ...] = ()
-    if format_prefix in dc_profiles:
+    if format_prefix in DC_PROFILE_PREFIXES:
         elements = parse_dc_payload(payload, format_prefix)
     return MetadataRecord(
         header=header, format_prefix=format_prefix,
@@ -404,11 +404,8 @@ def _build_record(raw: bytes, rec: _Record, format_prefix: str,
     )
 
 
-def parse_list_response(
-    data: bytes,
-    format_prefix: str = "oai_dc",
-    dc_profiles: frozenset[str] = DC_PROFILE_PREFIXES,
-) -> ListResponse:
+def parse_list_response(data: bytes,
+                        format_prefix: str = "oai_dc") -> ListResponse:
     """Parse a ListRecords (or GetRecord) response body.
 
     Raises WellFormednessError for broken XML / invalid UTF-8,
@@ -434,7 +431,7 @@ def parse_list_response(
             raise SchemaViolation(f"bad responseDate: {exc}") from exc
 
     records = tuple(
-        _build_record(data, rec, format_prefix, dc_profiles) for rec in lp.records
+        _build_record(data, rec, format_prefix) for rec in lp.records
     )
 
     token = None
@@ -457,15 +454,14 @@ def parse_list_response(
     return ListResponse(records=records, token=token, response_date=response_date)
 
 
-def parse_record(data: bytes, format_prefix: str = "oai_dc",
-                 dc_profiles: frozenset[str] = DC_PROFILE_PREFIXES) -> MetadataRecord:
+def parse_record(data: bytes, format_prefix: str = "oai_dc") -> MetadataRecord:
     """Parse a standalone <record> element."""
     validate_utf8(data)
     lp = _ListParser(data)
     lp.run()
     if len(lp.records) != 1:
         raise SchemaViolation(f"expected one record, found {len(lp.records)}")
-    return _build_record(data, lp.records[0], format_prefix, dc_profiles)
+    return _build_record(data, lp.records[0], format_prefix)
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,11 @@ class HarvestOutcome:
 
 def run_harvest(registry: Registry, repository: Repository,
                 client: OaiClient, collection_id: str,
-                now: datetime,
-                transform_config: TransformConfig | None = None
-                ) -> HarvestOutcome:
+                now: datetime) -> HarvestOutcome:
     """Harvest one collection and commit the result atomically with
     respect to the attempt log: nothing is stored unless the harvest
     stream completed."""
-    cfg = transform_config or TransformConfig.default()
+    cfg = TransformConfig.default()
     mode = registry.begin(collection_id)
     try:
         return _harvest(registry, repository, client, collection_id, now,
@@ -122,13 +120,11 @@ def _harvest(registry: Registry, repository: Repository, client: OaiClient,
 
 
 def run_due_harvests(registry: Registry, repository: Repository,
-                     client: OaiClient, now: datetime,
-                     transform_config: TransformConfig | None = None
+                     client: OaiClient, now: datetime
                      ) -> list[HarvestOutcome]:
     """Harvest every due collection, then publish one serving snapshot."""
     outcomes = [
-        run_harvest(registry, repository, client, collection_id, now,
-                    transform_config)
+        run_harvest(registry, repository, client, collection_id, now)
         for collection_id in registry.schedule_due(now)]
     if any(o.attempt.success for o in outcomes):
         repository.publish(now)

@@ -191,12 +191,15 @@ def _build_exports(record: StoredRecord,
         parts.append(b"</search>")
         return b"".join(parts)
 
+    search = combined(include_native=True)
     return {
         "nsdl_dc": nsdl_dc,
         "oai_dc": oai_dc,
         "nsdl_links": links,
-        "nsdl_search": combined(include_native=True),
-        "nsdl_all": combined(include_native=record.native_public),
+        "nsdl_search": search,
+        # with public natives the full dump is the search bundle: share it
+        "nsdl_all": search if record.native_public
+        else combined(include_native=False),
     }
 
 
@@ -223,9 +226,6 @@ class Repository:
 
     def collection_repo_id(self, collection_id: str) -> str | None:
         return self._collections.get(collection_id)
-
-    def has_collection(self, collection_id: str) -> bool:
-        return collection_id in self._collections
 
     # -- writes (single writer: every mutation takes the lock)
 

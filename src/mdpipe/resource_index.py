@@ -203,21 +203,14 @@ def _safe_normalize(url: str) -> str | None:
 # Builds
 
 
-def build_metadata_centric(sources: Iterable[IndexSource],
-                           previous: SearchIndex | None = None) -> SearchIndex:
-    """One document per metadata record. With a previous index, unchanged
-    records reuse their existing document objects (incremental refresh)."""
-    old = {}
-    if previous is not None and previous.mode == "metadata":
-        old = {d.doc_id: d for d in previous.documents}
+def build_metadata_centric(sources: Iterable[IndexSource]) -> SearchIndex:
+    """One document per metadata record."""
     docs = []
     for src in sorted(sources, key=lambda s: s.record_id):
         urls = tuple(u for u in (_safe_normalize(v) for v in src.urls) if u)
-        candidate = IndexDocument(doc_id=src.record_id,
+        docs.append(IndexDocument(doc_id=src.record_id,
                                   member_records=(src.record_id,),
-                                  urls=urls, text=src.text)
-        existing = old.get(src.record_id)
-        docs.append(existing if existing == candidate else candidate)
+                                  urls=urls, text=src.text))
     return SearchIndex(mode="metadata", documents=tuple(docs))
 
 

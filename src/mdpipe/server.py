@@ -27,7 +27,6 @@ from .model import (
     OAI_NS,
     format_datestamp,
     parse_datestamp,
-    serialize_header,
 )
 from .repository import EXPORT_FORMATS, ServingSnapshot, StoredRecord
 

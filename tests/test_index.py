@@ -172,18 +172,6 @@ def test_mode_counts_dominance():
     assert report["resource_entities"] == len(resource.documents) == 16
 
 
-def test_incremental_refresh_reuses_unchanged_documents():
-    sources = [_src("rec-a", ["http://r.org/a"], "alpha"),
-               _src("rec-b", ["http://r.org/b"], "beta")]
-    first = build_metadata_centric(sources)
-    changed = [sources[0],
-               _src("rec-b", ["http://r.org/b"], "beta revised")]
-    second = build_metadata_centric(changed, previous=first)
-    assert second.documents[0] is first.documents[0]
-    assert second.documents[1] is not first.documents[1]
-    assert "revised" in second.documents[1].text
-
-
 # ---------------------------------------------------------------------------
 # Search
 

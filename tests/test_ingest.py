@@ -2,6 +2,7 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdpipe import ingest, model
 from mdpipe.errors import IdentifierMismatch
@@ -211,6 +212,115 @@ def test_downgrade_safety_no_false_uri_claims_survive():
         for el in out.elements:
             if el.scheme == "URI":
                 assert model.is_absolute_uri(el.value)
+
+
+def test_uri_typed_dcmi_type_downgraded_and_qualified_in_one_application():
+    rec = _record([DcElement("type", "text", scheme="URI"),
+                   DcElement("title", "T")], prefix="nsdl_dc")
+    out = safe_transform(rec, CFG)
+    assert out.elements[0] == DcElement("type", "Text", scheme="DCMIType")
+    assert out.transform_log == (ingest.RULE_DOWNGRADE_URI,
+                                 ingest.RULE_QUALIFY_DCMI_TYPE)
+    again = safe_transform(_record(out.elements), CFG)
+    assert again.elements == out.elements
+    assert again.transform_log == ()
+
+
+def test_spaced_stop_phrases_dropped_in_one_application_fire_only_drop():
+    # neither the collapse nor a URI downgrade or dedup of a dropped
+    # element is logged
+    rec = _record([DcElement("description", "not  available"),
+                   DcElement("rights", "N/A\u00a0"),
+                   DcElement("identifier", "Not\tAvailable", scheme="URI"),
+                   DcElement("identifier", "not available", scheme="URI"),
+                   DcElement("title", "T")], prefix="nsdl_dc")
+    out = safe_transform(rec, CFG)
+    assert out.elements == (DcElement("title", "T"),)
+    assert out.transform_log == (ingest.RULE_DROP_NO_VALUE,)
+
+
+# The one-application fixed point rests on these properties of the
+# shipped vocabularies (see TransformConfig).
+
+def test_language_map_values_normalize_to_themselves():
+    for value in CFG.languages.values():
+        assert ingest._normalize_language(value, CFG.languages) == value
+
+
+def test_no_vocabulary_value_is_a_stop_phrase():
+    for value in CFG.languages.values():
+        assert value.lower() not in CFG.stop_phrases
+    for lowered in CFG.dcmi_types:
+        assert lowered not in CFG.stop_phrases
+
+
+def test_stop_phrases_are_collapsed():
+    for phrase in CFG.stop_phrases:
+        assert " ".join(phrase.split()) == phrase
+
+
+def _mangled(phrase: str):
+    """The phrase with random casing, inner whitespace and padding."""
+    def mangle(case_bits, gaps, pad):
+        words = phrase.split(" ")
+        out = gaps[0] if pad else ""
+        for i, word in enumerate(words):
+            out += "".join(c.upper() if (case_bits >> (n % 16)) & 1 else c
+                           for n, c in enumerate(word))
+            if i < len(words) - 1:
+                out += gaps[i % len(gaps)]
+        return out + (gaps[-1] if pad else "")
+    gap = st.text(alphabet=" \t\n\u00a0", min_size=1, max_size=3)
+    return st.builds(mangle, st.integers(0, 2**16 - 1),
+                     st.lists(gap, min_size=1, max_size=4), st.booleans())
+
+
+_WORDS = st.one_of(
+    st.sampled_from(sorted(CFG.stop_phrases)),
+    st.sampled_from(sorted(CFG.dcmi_types.values())),
+    st.sampled_from(sorted(
+        set(CFG.languages) | set(CFG.languages.values())
+        | {"EN_us", "en-gb", "fre-CA", "eng_ca", "xyz-ab", "pt_BR",
+           "zh-hant", "e", "english us"})))
+
+_ADVERSARIAL_VALUES = st.one_of(
+    _WORDS,
+    _WORDS.flatmap(_mangled),
+    st.sampled_from(["http://Example.org/a b", "HTTP://host/x%2",
+                     "ftp://host/file%ZZ", "http://host/%41\u00a0",
+                     "ftp://Host/ä b", "http://[", "http://", "doi:10.1/2",
+                     " http://host/ok ", "urn:isbn:1"]),
+    st.text(alphabet="aZé日 \t\u00a0/:%<&", max_size=12),
+)
+
+
+@st.composite
+def _adversarial_records(draw):
+    element = st.builds(
+        DcElement,
+        name=st.sampled_from(["identifier", "type", "language",
+                              "identifier", "type", "language", "title",
+                              "description"]),
+        value=_ADVERSARIAL_VALUES,
+        qualifier=st.sampled_from([None, None, "alternative"]),
+        scheme=st.sampled_from([None, None, "URI", "URI", "DCMIType",
+                                "ISO639"]),
+        language=st.sampled_from([None, "en"]))
+    elements = draw(st.lists(element, max_size=8))
+    if elements:
+        copies = draw(st.lists(st.sampled_from(elements), max_size=3))
+        for el in copies:
+            elements.insert(draw(st.integers(0, len(elements))), el)
+    return _record(elements, prefix="nsdl_dc")
+
+
+@settings(max_examples=500, deadline=None)
+@given(record=_adversarial_records())
+def test_transform_is_fixed_point_after_one_application(record):
+    once = safe_transform(record, CFG)
+    twice = safe_transform(_record(once.elements, prefix="nsdl_dc"), CFG)
+    assert twice.elements == once.elements
+    assert twice.transform_log == ()
 
 
 # ---------------------------------------------------------------------------
