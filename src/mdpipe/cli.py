@@ -19,7 +19,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from . import ingest, model, pipeline, resource_index, sim
-from .client import OaiClient, RequestsTransport
+from .client import HttpTransport, OaiClient
 from .errors import (
     DuplicateBaseUrlSet,
     UnknownCollection,
@@ -107,7 +107,7 @@ def _transport(args):
         scenario = sim.SimScenario.load(args.scenario)
         clock = sim.SimClock(_parse_at(getattr(args, "at", None)))
         return sim.SimTransport(sim.SimProvider(scenario, clock))
-    return RequestsTransport()
+    return HttpTransport()
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:

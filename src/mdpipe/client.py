@@ -8,8 +8,11 @@ provider without sockets.
 
 from __future__ import annotations
 
+import http.client
 import logging
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Callable, Iterator, Protocol
@@ -34,24 +37,30 @@ class Transport(Protocol):
     def get(self, url: str) -> bytes: ...
 
 
-class RequestsTransport:
-    """Live HTTP transport."""
+HTTP_TIMEOUT_S = 30.0
+USER_AGENT = "mdpipe-harvester/0.1"
 
-    def __init__(self, timeout: float = 30.0,
-                 user_agent: str = "mdpipe-harvester/0.1"):
-        self.timeout = timeout
-        self.user_agent = user_agent
+
+class HttpTransport:
+    """Live HTTP transport. Any status but 200 raises HttpStatusError; a
+    refused, dropped or timed-out connection and a malformed URL raise
+    TransportError."""
 
     def get(self, url: str) -> bytes:
-        import requests
         try:
-            resp = requests.get(url, timeout=self.timeout,
-                                headers={"User-Agent": self.user_agent})
-        except requests.exceptions.RequestException as exc:
+            request = urllib.request.Request(
+                url, headers={"User-Agent": USER_AGENT})
+            with urllib.request.urlopen(request,
+                                        timeout=HTTP_TIMEOUT_S) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            raise HttpStatusError(exc.code) from exc
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(str(exc)) from exc
-        if resp.status_code != 200:
-            raise HttpStatusError(resp.status_code)
-        return resp.content
+        if status != 200:
+            raise HttpStatusError(status)
+        return body
 
 
 def classify_failure(error: BaseException) -> FailureCategory:
@@ -105,7 +114,7 @@ class OaiClient:
     def __init__(self, transport: Transport | None = None,
                  max_retries: int = 3, backoff_base: float = 30.0,
                  sleep: Callable[[float], None] = time.sleep):
-        self.transport = transport or RequestsTransport()
+        self.transport = transport or HttpTransport()
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.sleep = sleep

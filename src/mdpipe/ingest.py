@@ -8,17 +8,18 @@ changes nothing.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import xml.parsers.expat
 from dataclasses import dataclass, field
 from importlib import resources
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlsplit
 from xml.sax.saxutils import quoteattr
 
 from . import model
 from .errors import IdentifierMismatch, MalformedDocument, WellFormednessError
-from .model import DcElement, MetadataRecord, is_absolute_uri
+from .model import PERCENT_ESCAPE, DcElement, MetadataRecord, is_absolute_uri
 
 DBINSERT_NS = "urn:x-mdpipe:dbinsert"
 
@@ -51,9 +52,11 @@ class Profile:
             qualifiers={k: tuple(v) for k, v in data.get("qualifiers", {}).items()},
         )
 
-    @classmethod
-    def default(cls) -> "Profile":
-        return cls.from_dict(_load_data("profile.json"))
+
+@functools.cache
+def _profile() -> Profile:
+    """The one profile every record is validated against, read once."""
+    return Profile.from_dict(_load_data("profile.json"))
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,10 @@ class DbInsertDocument:
 # ---------------------------------------------------------------------------
 # URI scrubbing
 
-_UNSAFE = set(' <>"{}|\\^`')
-_HEX = "0123456789abcdefABCDEF"
+_FETCHABLE_SCHEME = re.compile(r"(http|ftp)://", re.ASCII | re.IGNORECASE)
+# runs of characters a URL may not carry unencoded: controls, space,
+# non-ASCII and the RFC 1738 unsafe set
+_UNSAFE_RUN = re.compile(r'(?:[^\x21-\x7e]|[<>"{}|\\^`])+')
 
 
 def scrub_uri(value: str) -> str | None:
@@ -116,54 +121,18 @@ def scrub_uri(value: str) -> str | None:
     irreparable percent escapes.
     """
     v = value.strip()
-    lower = v.lower()
-    if lower.startswith("http://"):
-        scheme = "http"
-    elif lower.startswith("ftp://"):
-        scheme = "ftp"
-    else:
+    scheme = _FETCHABLE_SCHEME.match(v)
+    # a % left once every valid escape is removed is irreparable
+    if scheme is None or "%" in PERCENT_ESCAPE.sub("", v):
         return None
-    rest = v[len(scheme) + 3:]
-    out = []
-    i = 0
-    while i < len(rest):
-        c = rest[i]
-        if c == "%":
-            if len(rest) >= i + 3 and all(h in _HEX for h in rest[i + 1:i + 3]):
-                out.append(rest[i:i + 3])
-                i += 3
-                continue
-            return None  # irreparable escape
-        if c in _UNSAFE or ord(c) < 0x21 or ord(c) > 0x7E:
-            out.append("".join("%%%02X" % b for b in c.encode("utf-8")))
-        else:
-            out.append(c)
-        i += 1
-    result = f"{scheme}://{''.join(out)}"
+    result = (scheme[1].lower() + "://"
+              + _UNSAFE_RUN.sub(lambda m: quote(m[0], safe=""),
+                                v[scheme.end():]))
     try:
-        parts = urlsplit(result)
+        netloc = urlsplit(result).netloc
     except ValueError:
         return None
-    if not parts.netloc:
-        return None
-    return result
-
-
-def downgrade_invalid_uri(element: DcElement) -> DcElement:
-    """Downgrade an identifier claiming the URI scheme if it cannot be
-    scrubbed into a valid URL; otherwise return it with the scrubbed value."""
-    if element.scheme != "URI":
-        return element
-    scrubbed = scrub_uri(element.value)
-    if scrubbed is None:
-        return DcElement(name=element.name, value=element.value,
-                         qualifier=element.qualifier, scheme=None,
-                         language=element.language)
-    if scrubbed != element.value:
-        return DcElement(name=element.name, value=scrubbed,
-                         qualifier=element.qualifier, scheme="URI",
-                         language=element.language)
-    return element
+    return result if netloc else None
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +249,13 @@ class Violation:
     message: str
 
 
-def validate_normalized(record: NormalizedRecord,
-                        profile: Profile | None = None) -> list[Violation]:
+def validate_normalized(record: NormalizedRecord) -> list[Violation]:
     """Check a normalized record against the qualified-DC profile.
 
     An empty list means clean. A record must keep at least one identifier
     or title to stay indexable.
     """
-    if profile is None:
-        profile = Profile.default()
+    profile = _profile()
     violations: list[Violation] = []
     for i, el in enumerate(record.elements):
         if el.name not in model.DC_ELEMENTS:

@@ -8,6 +8,7 @@ rejected with byte-level diagnostics rather than repaired.
 from __future__ import annotations
 
 import calendar
+import re
 import xml.etree.ElementTree as ET
 import xml.parsers.expat
 from dataclasses import dataclass, field
@@ -107,6 +108,11 @@ def is_day_granularity(text: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+# A percent-encoded octet (RFC 3986 section 2.1); group 1 holds its two
+# hex digits.
+PERCENT_ESCAPE = re.compile(r"%([0-9A-Fa-f]{2})")
 
 
 def is_absolute_uri(value: str) -> bool:

@@ -36,7 +36,7 @@ from .errors import (
     UnknownCollection,
     UnknownIdentifier,
 )
-from .ingest import NormalizedRecord, Profile
+from .ingest import NormalizedRecord
 from .model import DcElement, format_datestamp
 
 LINKS_NS = "urn:x-mdpipe:links"
@@ -208,11 +208,9 @@ def _build_exports(record: StoredRecord,
 
 class Repository:
     def __init__(self, domain: str = "mdpipe.example.org",
-                 postdate_offset: timedelta = DEFAULT_POSTDATE_OFFSET,
-                 profile: Profile | None = None):
+                 postdate_offset: timedelta = DEFAULT_POSTDATE_OFFSET):
         self.domain = domain
         self.postdate_offset = postdate_offset
-        self.profile = profile or Profile.default()
         self._lock = threading.RLock()
         self._records: dict[str, StoredRecord] = {}
         self._by_source: dict[tuple[str, str], str] = {}
@@ -265,8 +263,7 @@ class Repository:
             for entry in doc.entries:
                 source_id = entry.original.header.identifier
                 repo_id = self.mint_identifier(doc.collection_id, source_id)
-                violations = ingest.validate_normalized(entry.normalized,
-                                                        self.profile)
+                violations = ingest.validate_normalized(entry.normalized)
                 record = StoredRecord(
                     repo_identifier=repo_id,
                     collection_id=doc.collection_id,
@@ -400,8 +397,7 @@ class Repository:
             raise
 
     @classmethod
-    def load(cls, path: str | Path,
-             profile: Profile | None = None) -> "Repository":
+    def load(cls, path: str | Path) -> "Repository":
         """Read a state file, upgrading version 1, and rebuild every
         record's exports."""
         state = json.loads(Path(path).read_text())
@@ -415,8 +411,7 @@ class Repository:
                              f"{version!r} in {path}")
         repo = cls(domain=state["domain"],
                    postdate_offset=timedelta(
-                       seconds=state["postdate_offset_seconds"]),
-                   profile=profile)
+                       seconds=state["postdate_offset_seconds"]))
         repo._collections = dict(state["collections"])
         for rec_json in state["records"]:
             record = _record_from_json(rec_json, elements_of(rec_json["rows"]))

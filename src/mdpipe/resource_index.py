@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .errors import FetchError, UnparseableUrl
+from .model import PERCENT_ESCAPE
 from .repository import ServingSnapshot, StoredRecord
 
 logger = logging.getLogger(__name__)
@@ -26,7 +27,10 @@ logger = logging.getLogger(__name__)
 _DEFAULT_PORTS = {"http": "80", "https": "443", "ftp": "21"}
 _UNRESERVED = set(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~")
-_SCHEME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]*)://(.*)$", re.DOTALL)
+# RFC 3986 appendix B, with the scheme held to its section 3.1 grammar and
+# "://" required: scheme, authority, path, "?query"; the fragment is left
+# unmatched
+_URL_RE = re.compile(r"([A-Za-z][A-Za-z0-9+.-]*)://([^/?#]*)([^?#]*)(\?[^#]*)?")
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
@@ -34,26 +38,14 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # URL normalization
 
 
+def _normalize_escape(escape: re.Match) -> str:
+    decoded = chr(int(escape[1], 16))
+    return decoded if decoded in _UNRESERVED else escape[0].upper()
+
+
 def _normalize_percent(text: str) -> str:
     """Uppercase %XX hex and decode escapes of unreserved characters."""
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if (ch == "%" and len(text) >= i + 3
-                and all(c in "0123456789abcdefABCDEF"
-                        for c in text[i + 1:i + 3])):
-            code = int(text[i + 1:i + 3], 16)
-            decoded = chr(code)
-            if decoded in _UNRESERVED:
-                out.append(decoded)
-            else:
-                out.append("%" + text[i + 1:i + 3].upper())
-            i += 3
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return PERCENT_ESCAPE.sub(_normalize_escape, text)
 
 
 def _remove_dot_segments(path: str) -> str:
@@ -80,48 +72,22 @@ def normalize_url(url: str) -> str:
     compare equal. Fragments are dropped (they address a view, not a
     resource); queries are preserved verbatim apart from escaping."""
     url = url.strip()
-    match = _SCHEME_RE.match(url)
-    if not match:
+    match = _URL_RE.match(url)
+    if match is None:
         raise UnparseableUrl(url)
-    scheme = match.group(1).lower()
-    rest = match.group(2)
-    if not rest:
-        raise UnparseableUrl(url)
-
-    rest = rest.split("#", 1)[0]          # fragment never distinguishes
-    for sep in ("/", "?"):
-        idx = rest.find(sep)
-        if idx != -1:
-            authority, tail = rest[:idx], rest[idx:]
-            break
-    else:
-        authority, tail = rest, ""
-    if not authority:
-        raise UnparseableUrl(url)
-
-    userinfo = ""
-    if "@" in authority:
-        userinfo, authority = authority.rsplit("@", 1)
-        userinfo += "@"
-    host, _, port = authority.partition(":")
-    host = host.lower()
+    scheme, authority, path, query = match.groups("")
+    userinfo, at, host_port = authority.rpartition("@")
+    host, _, port = host_port.partition(":")
     if not host:
         raise UnparseableUrl(url)
-    if port and port == _DEFAULT_PORTS.get(scheme):
-        port = ""
-    authority = f"{userinfo}{host}" + (f":{port}" if port else "")
-
-    if tail.startswith("?") or not tail:
-        path, query = "/", tail
+    scheme = scheme.lower()
+    if port in ("", _DEFAULT_PORTS.get(scheme)):
+        host_port = host.lower()
     else:
-        qidx = tail.find("?")
-        if qidx == -1:
-            path, query = tail, ""
-        else:
-            path, query = tail[:qidx], tail[qidx:]
+        host_port = f"{host.lower()}:{port}"
     path = _remove_dot_segments(_normalize_percent(path))
-    query = _normalize_percent(query)
-    return f"{scheme}://{authority}{path}{query}"
+    return (f"{scheme}://{userinfo}{at}{host_port}{path}"
+            f"{_normalize_percent(query)}")
 
 
 # ---------------------------------------------------------------------------

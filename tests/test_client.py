@@ -1,13 +1,16 @@
 """Harvest client: failure taxonomy, retries, paging, and watermarks."""
 
+import socket
+import threading
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from mdpipe import model
+from mdpipe import model, sim
 from mdpipe.client import (
     HarvestFailure,
     HarvestResult,
+    HttpTransport,
     OaiClient,
     classify_failure,
 )
@@ -263,3 +266,71 @@ def test_result_invariant_failure_cannot_advance_watermark():
         HarvestResult(records=(), pages_fetched=1, success=False,
                       category=FailureCategory.TRANSIENT,
                       completed_through=datetime(2006, 1, 1, tzinfo=UTC))
+
+
+# ---------------------------------------------------------------------------
+# HttpTransport against the simulator served on 127.0.0.1
+
+
+@pytest.fixture
+def serve(monkeypatch):
+    """Start serving a SimProvider on a free loopback port; returns its base
+    URL. Servers are shut down when the test ends."""
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    servers = []
+
+    def start(provider):
+        server = sim.serve_http(provider, 0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_address[1]}/oai"
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def _sim_provider(faults=()):
+    return sim.SimProvider(sim.make_scenario(25, faults=faults),
+                           sim.SimClock(datetime(2005, 2, 1, tzinfo=UTC)))
+
+
+def test_http_harvest_equals_sim_harvest(serve):
+    base = serve(_sim_provider())
+    over_http = OaiClient(transport=HttpTransport(),
+                          sleep=lambda s: None).harvest(base, "oai_dc")
+    in_process = OaiClient(transport=sim.SimTransport(_sim_provider()),
+                           sleep=lambda s: None).harvest(base, "oai_dc")
+    assert over_http.success and len(over_http.records) == 25
+    assert over_http == in_process
+
+
+def test_http_5xx_is_status_error(serve):
+    base = serve(_sim_provider((sim.FaultSpec("Http5xx"),)))
+    with pytest.raises(HttpStatusError) as info:
+        HttpTransport().get(f"{base}?verb=Identify")
+    assert info.value.status == 503
+    assert classify_failure(info.value) is FailureCategory.TRANSIENT
+
+
+def test_http_disconnect_is_transport_error(serve):
+    base = serve(_sim_provider((sim.FaultSpec("Disconnect"),)))
+    with pytest.raises(TransportError) as info:
+        HttpTransport().get(f"{base}?verb=Identify")
+    assert not isinstance(info.value, HttpStatusError)
+
+
+def test_http_closed_port_is_transport_error(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    with pytest.raises(TransportError) as info:
+        HttpTransport().get(f"http://127.0.0.1:{port}/oai?verb=Identify")
+    assert not isinstance(info.value, HttpStatusError)
+
+
+def test_http_malformed_url_is_transport_error():
+    with pytest.raises(TransportError):
+        HttpTransport().get("not a url")

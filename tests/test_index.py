@@ -79,6 +79,18 @@ def test_normalize_url_idempotent_fuzz():
         assert normalize_url(once) == once, url
 
 
+@pytest.mark.parametrize("raw,expected", [
+    ("http://Example.org?Q=/b", "http://example.org/?Q=/b"),
+    ("http://example.org/?Q=/b", "http://example.org/?Q=/b"),
+    ("http://example.org?a=/b/../c", "http://example.org/?a=/b/../c"),
+    ("http://u@Example.org:80?X=1/2#f/g", "http://u@example.org/?X=1/2"),
+])
+def test_normalize_url_authority_ends_at_query(raw, expected):
+    # the authority ends at the first "/", "?" or "#": a query that holds
+    # a "/" is neither part of the host nor a path
+    assert normalize_url(raw) == expected
+
+
 # ---------------------------------------------------------------------------
 # Index builds
 

@@ -1,5 +1,7 @@
 import random
+import re
 from datetime import datetime, timezone
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,6 @@ from mdpipe.ingest import (
     NormalizedRecord,
     TransformConfig,
     build_db_insert,
-    downgrade_invalid_uri,
     parse_db_insert,
     safe_transform,
     scrub_uri,
@@ -33,7 +34,7 @@ def _record(elements, ident="oai:test:1", prefix="oai_dc"):
 
 
 # ---------------------------------------------------------------------------
-# scrub_uri / downgrade
+# scrub_uri
 
 def test_scrub_encodes_spaces():
     assert scrub_uri("http://example.org/a b.pdf") == "http://example.org/a%20b.pdf"
@@ -70,21 +71,23 @@ def test_scrub_is_idempotent_over_fuzz_corpus():
             assert scrub_uri(once) == once, s
 
 
-def test_downgrade_invalid_uri():
-    el = DcElement("identifier", "not a url", scheme="URI")
-    out = downgrade_invalid_uri(el)
-    assert out.scheme is None
-    assert out.value == "not a url"
+_UNSAFE = set(' <>"{}|\\^`')
 
 
-def test_downgrade_keeps_valid_uri():
-    el = DcElement("identifier", "http://example.org/ok", scheme="URI")
-    assert downgrade_invalid_uri(el) == el
-
-
-def test_downgrade_irreparable_ftp_escape():
-    el = DcElement("identifier", "ftp://host/file%ZZ", scheme="URI")
-    assert downgrade_invalid_uri(el).scheme is None
+@settings(max_examples=500, deadline=None)
+@given(prefix=st.sampled_from(["http://", "HTTP://", "fTp://", " http://",
+                               "https://", "http:/", ""]),
+       rest=st.text(st.one_of(st.sampled_from('%%%aF9/?#@:[]<>"{}|\\^` \t'),
+                              st.characters())))
+def test_scrub_result_is_none_or_fetchable(prefix, rest):
+    out = scrub_uri(prefix + rest)
+    if out is None:
+        return
+    assert all(0x21 <= ord(c) <= 0x7E and c not in _UNSAFE for c in out)
+    assert all(re.match(r"%[0-9A-Fa-f]{2}", out[i:])
+               for i, c in enumerate(out) if c == "%")
+    assert urlsplit(out).netloc
+    assert scrub_uri(out) == out
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +149,12 @@ def test_language_normalized():
 
 
 def test_declared_uri_downgraded():
-    rec = _record([DcElement("identifier", "not a url", scheme="URI"),
-                   DcElement("title", "T")], prefix="nsdl_dc")
-    out = safe_transform(rec, CFG)
-    assert out.elements[0].scheme is None
-    assert ingest.RULE_DOWNGRADE_URI in out.transform_log
+    for value in ("not a url", "ftp://host/file%ZZ"):
+        rec = _record([DcElement("identifier", value, scheme="URI"),
+                       DcElement("title", "T")], prefix="nsdl_dc")
+        out = safe_transform(rec, CFG)
+        assert out.elements[0] == DcElement("identifier", value), value
+        assert ingest.RULE_DOWNGRADE_URI in out.transform_log, value
 
 
 def test_already_normalized_record_has_empty_log():
