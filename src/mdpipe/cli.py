@@ -100,6 +100,18 @@ def _parse_at(value: str | None) -> datetime:
         raise SystemExit(f"bad --at value: {exc}")
 
 
+def _positive_int(value: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, not {value!r}")
+    return number
+
+
 def _transport(args):
     """A live HTTP transport, or an in-process simulator when --scenario
     points at a scenario file."""
@@ -422,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query")
     p.add_argument("--mode", default="resource",
                    choices=["metadata", "resource", "identifier"])
-    p.add_argument("--limit", type=int, default=10)
+    p.add_argument("--limit", type=_positive_int, default=10)
     p.add_argument("--at")
 
     p = add("dedup-report", cmd_dedup_report,

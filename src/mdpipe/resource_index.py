@@ -15,7 +15,8 @@ import hashlib
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .errors import FetchError, UnparseableUrl
@@ -31,6 +32,9 @@ _UNRESERVED = set(
 # "://" required: scheme, authority, path, "?query"; the fragment is left
 # unmatched
 _URL_RE = re.compile(r"([A-Za-z][A-Za-z0-9+.-]*)://([^/?#]*)([^?#]*)(\?[^#]*)?")
+# host, then an optional ":port"; a bracketed IP literal (RFC 3986 section
+# 3.2.2) is one host, colons and all
+_HOST_PORT_RE = re.compile(r"(\[[^\]]*\]|[^:]*)(?::(.*))?", re.DOTALL)
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
@@ -77,7 +81,7 @@ def normalize_url(url: str) -> str:
         raise UnparseableUrl(url)
     scheme, authority, path, query = match.groups("")
     userinfo, at, host_port = authority.rpartition("@")
-    host, _, port = host_port.partition(":")
+    host, port = _HOST_PORT_RE.fullmatch(host_port).groups("")
     if not host:
         raise UnparseableUrl(url)
     scheme = scheme.lower()
@@ -112,27 +116,48 @@ class IndexDocument:
     urls: tuple[str, ...]
     text: str
 
-    def tokens(self) -> Counter:
-        return Counter(_TOKEN_RE.findall(self.text.lower()))
-
 
 @dataclass(frozen=True)
 class SearchIndex:
+    """Documents searchable by conjunctive term match.
+
+    A document matches when its text holds every query term. Its score is
+    the summed count of the query terms in its text, a term repeated in the
+    query counted once per occurrence. Hits are ranked by score, then by
+    doc_id, and cut to ``limit``. Terms are the runs of ASCII letters and
+    digits in the lowercased text.
+
+    The postings are built on the first search, not by the builds, so an
+    index that is only counted (``dedup_report``, ``mdpipe index``) never
+    tokenises its documents."""
+
     mode: str                       # metadata | resource | identifier
     documents: tuple[IndexDocument, ...]
 
+    @cached_property
+    def _postings(self) -> dict[str, dict[int, int]]:
+        """term -> {document position: count of the term in its text}."""
+        postings: dict[str, dict[int, int]] = {}
+        for position, doc in enumerate(self.documents):
+            for term, count in Counter(
+                    _TOKEN_RE.findall(doc.text.lower())).items():
+                postings.setdefault(term, {})[position] = count
+        return postings
+
     def search(self, query: str, limit: int = 10) -> list[tuple[str, float]]:
-        """Conjunctive term match, term-frequency scoring, doc_id
-        tie-break for stable ordering."""
-        terms = _TOKEN_RE.findall(query.lower())
+        if limit < 1:
+            raise ValueError(f"limit must be at least 1, not {limit}")
+        terms = Counter(_TOKEN_RE.findall(query.lower()))
         if not terms:
             return []
-        hits = []
-        for doc in self.documents:
-            counts = doc.tokens()
-            if all(counts.get(t, 0) > 0 for t in terms):
-                score = float(sum(counts[t] for t in terms))
-                hits.append((doc.doc_id, score))
+        # (posting list, occurrences in the query), smallest list first
+        lists = sorted(((self._postings.get(term, {}), n)
+                        for term, n in terms.items()),
+                       key=lambda pair: len(pair[0]))
+        hits = [(self.documents[position].doc_id,
+                 float(sum(n * postings[position] for postings, n in lists)))
+                for position in lists[0][0]
+                if all(position in postings for postings, _ in lists[1:])]
         hits.sort(key=lambda h: (-h[1], h[0]))
         return hits[:limit]
 

@@ -116,6 +116,14 @@ def test_search_and_dedup_after_harvest(env, capsys):
     assert report["resource_entities"] == 25  # distinct URLs: no collapse
 
 
+@pytest.mark.parametrize("limit", ["0", "-1", "two"])
+def test_search_limit_not_a_positive_integer_exit_two(env, capsys, limit):
+    with pytest.raises(SystemExit) as exc:
+        _run(env, "search", "simulated", "--limit", limit, "--at", AT)
+    assert exc.value.code == 2
+    assert "--limit" in capsys.readouterr().err
+
+
 def test_index_modes(env, capsys):
     _register(env)
     _run(env, "harvest", "--collection-id", "coll-1",

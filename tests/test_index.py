@@ -1,13 +1,18 @@
 """URL normalization and the resource-centric dedup index."""
 
 import random
+import re
 import string
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mdpipe import resource_index
 from mdpipe.errors import FetchError, UnparseableUrl
 from mdpipe.resource_index import (
     IndexSource,
+    SearchIndex,
     build_metadata_centric,
     build_resource_centric,
     content_hasher,
@@ -89,6 +94,20 @@ def test_normalize_url_authority_ends_at_query(raw, expected):
     # the authority ends at the first "/", "?" or "#": a query that holds
     # a "/" is neither part of the host nor a path
     assert normalize_url(raw) == expected
+
+
+@pytest.mark.parametrize("raw,expected", [
+    ("http://[::1]:80/a", "http://[::1]/a"),
+    ("http://[::1]/a", "http://[::1]/a"),
+    ("http://[::A]/a", "http://[::a]/a"),
+    ("https://[2001:DB8::1]:443/x", "https://[2001:db8::1]/x"),
+    ("http://[::1]:8080/a", "http://[::1]:8080/a"),
+    ("http://u:pw@[::A]:80?Q=1", "http://u:pw@[::a]/?Q=1"),
+])
+def test_normalize_url_ipv6_host_is_one_unit(raw, expected):
+    # a bracketed IP literal holds colons; the port starts after the "]"
+    assert normalize_url(raw) == expected
+    assert normalize_url(expected) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +231,110 @@ def test_duplicate_hits_collapse_in_resource_mode():
     resource_hits = build_resource_centric(sources).search("photosynthesis")
     assert len(metadata_hits) == 3
     assert len(resource_hits) == 1
+
+
+def test_search_limit_below_one_rejected():
+    sources = [_src("rec-a", [], "quartz"), _src("rec-b", [], "quartz quartz")]
+    index = build_metadata_centric(sources)
+    assert index.search("quartz", limit=1) == [("rec-b", 2.0)]
+    for limit in (0, -1):
+        with pytest.raises(ValueError):
+            index.search("quartz", limit=limit)
+
+
+_WORDS = ["solar", "Solar", "WIND", "wind", "energy", "x1", "2005"]
+_GAPS = [" ", ", ", "-", "!! ", "\n"]
+_URLS = ["http://r.org/1", "http://R.org:80/1", "http://r.org/2", "not a url"]
+_TERMS = re.compile(r"[a-z0-9]+")
+
+
+@st.composite
+def _texts(draw, words):
+    tokens = draw(st.lists(st.sampled_from(words), max_size=6))
+    gaps = draw(st.lists(st.sampled_from(_GAPS), min_size=len(tokens),
+                         max_size=len(tokens)))
+    return "".join(t + g for t, g in zip(tokens, gaps))
+
+
+def _reversed_metadata_index(sources):
+    # the builds order documents by doc_id; reversed, the doc_id tie-break
+    # cannot come from document order
+    index = build_metadata_centric(sources)
+    return SearchIndex(mode=index.mode,
+                       documents=tuple(reversed(index.documents)))
+
+
+def _brute_force_search(documents, query, limit):
+    """Oracle: count every document's terms afresh for each query."""
+    terms = _TERMS.findall(query.lower())
+    hits = []
+    for doc in documents:
+        counts = Counter(_TERMS.findall(doc.text.lower()))
+        if terms and all(counts[t] for t in terms):
+            hits.append((doc.doc_id, float(sum(counts[t] for t in terms))))
+    hits.sort(key=lambda h: (-h[1], h[0]))
+    return hits[:limit]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sources=st.lists(
+        st.builds(_src, rid=st.sampled_from([f"rec-{c}" for c in "abcdef"]),
+                  urls=st.lists(st.sampled_from(_URLS), max_size=2),
+                  text=_texts(_WORDS)),
+        max_size=8),
+    build=st.sampled_from([build_metadata_centric, build_resource_centric,
+                           naive_identifier_index, _reversed_metadata_index]),
+    queries=st.lists(
+        st.tuples(_texts(_WORDS + ["absent", "!!", ""]),
+                  st.integers(min_value=1, max_value=12)),
+        min_size=1, max_size=4))
+def test_search_matches_brute_force(sources, build, queries):
+    # repeated and absent query terms, ties across doc_ids, mixed case,
+    # punctuation-only and empty queries, limits of 1 and above the hit
+    # count; several queries per index, so later ones reuse the postings
+    index = build(sources)
+    for query, limit in queries:
+        assert index.search(query, limit) == _brute_force_search(
+            index.documents, query, limit), (query, limit)
+
+
+class _CountingPattern:
+    """Stands in for a compiled pattern and records each text it splits."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.texts = []
+
+    def findall(self, text):
+        self.texts.append(text)
+        return self.pattern.findall(text)
+
+
+def test_second_search_does_not_retokenise(monkeypatch):
+    sources = [_src("rec-a", [], "solar energy"),
+               _src("rec-b", [], "solar wind"),
+               _src("rec-c", [], "wind")]
+    index = build_metadata_centric(sources)
+    counting = _CountingPattern(resource_index._TOKEN_RE)
+    monkeypatch.setattr(resource_index, "_TOKEN_RE", counting)
+    assert index.search("solar") == [("rec-a", 1.0), ("rec-b", 1.0)]
+    assert len(counting.texts) == 1 + len(sources)  # the query, each doc
+    assert index.search("wind") == [("rec-b", 1.0), ("rec-c", 1.0)]
+    assert counting.texts[len(sources) + 1:] == ["wind"]  # the query only
+
+
+def test_builds_and_dedup_report_build_no_postings(monkeypatch):
+    sources = [_src("rec-a", ["http://r.org/1"], "solar energy"),
+               _src("rec-b", ["http://r.org/1"], "solar wind")]
+    counting = _CountingPattern(resource_index._TOKEN_RE)
+    monkeypatch.setattr(resource_index, "_TOKEN_RE", counting)
+    index = build_resource_centric(sources)
+    assert dedup_report(sources)["resource_entities"] == 1
+    assert "_postings" not in index.__dict__
+    assert counting.texts == []
+    index.search("solar")
+    assert "_postings" in index.__dict__
 
 
 # ---------------------------------------------------------------------------
