@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -127,37 +127,45 @@ class SearchIndex:
     doc_id, and cut to ``limit``. Terms are the runs of ASCII letters and
     digits in the lowercased text.
 
-    The postings are built on the first search, not by the builds, so an
-    index that is only counted (``dedup_report``, ``mdpipe index``) never
-    tokenises its documents."""
+    The first search tokenises every document once, as a full scan would,
+    keeping each document's term counts and, per term, the documents that
+    hold it. Later searches read only the documents on the query's
+    shortest posting list, so the saving grows with the number of queries
+    an index answers. The builds never tokenise, so an index that is only
+    counted (``dedup_report``, ``mdpipe index``) pays nothing for it."""
 
     mode: str                       # metadata | resource | identifier
     documents: tuple[IndexDocument, ...]
 
     @cached_property
-    def _postings(self) -> dict[str, dict[int, int]]:
-        """term -> {document position: count of the term in its text}."""
-        postings: dict[str, dict[int, int]] = {}
-        for position, doc in enumerate(self.documents):
-            for term, count in Counter(
-                    _TOKEN_RE.findall(doc.text.lower())).items():
-                postings.setdefault(term, {})[position] = count
+    def _counts(self) -> tuple[Counter, ...]:
+        """Each document's term counts, by document position."""
+        return tuple(Counter(_TOKEN_RE.findall(doc.text.lower()))
+                     for doc in self.documents)
+
+    @cached_property
+    def _postings(self) -> dict[str, list[int]]:
+        """term -> positions of the documents that hold it, ascending."""
+        postings = defaultdict(list)
+        for position, counts in enumerate(self._counts):
+            for term in counts:
+                postings[term].append(position)
         return postings
 
     def search(self, query: str, limit: int = 10) -> list[tuple[str, float]]:
         if limit < 1:
             raise ValueError(f"limit must be at least 1, not {limit}")
-        terms = Counter(_TOKEN_RE.findall(query.lower()))
+        terms = _TOKEN_RE.findall(query.lower())
         if not terms:
             return []
-        # (posting list, occurrences in the query), smallest list first
-        lists = sorted(((self._postings.get(term, {}), n)
-                        for term, n in terms.items()),
-                       key=lambda pair: len(pair[0]))
-        hits = [(self.documents[position].doc_id,
-                 float(sum(n * postings[position] for postings, n in lists)))
-                for position in lists[0][0]
-                if all(position in postings for postings, _ in lists[1:])]
+        hits = []
+        # a match holds every term, so it is on the shortest posting list
+        for position in min((self._postings.get(t, ()) for t in terms),
+                            key=len):
+            counts = self._counts[position]
+            if all(t in counts for t in terms):
+                hits.append((self.documents[position].doc_id,
+                             float(sum(counts[t] for t in terms))))
         hits.sort(key=lambda h: (-h[1], h[0]))
         return hits[:limit]
 

@@ -331,6 +331,7 @@ def test_builds_and_dedup_report_build_no_postings(monkeypatch):
     monkeypatch.setattr(resource_index, "_TOKEN_RE", counting)
     index = build_resource_centric(sources)
     assert dedup_report(sources)["resource_entities"] == 1
+    assert "_counts" not in index.__dict__
     assert "_postings" not in index.__dict__
     assert counting.texts == []
     index.search("solar")
