@@ -47,6 +47,9 @@ DC_PROFILE_PREFIXES = frozenset({"oai_dc", "nsdl_dc"})
 # Datestamps
 
 _DATESTAMP_PATTERN = "NNNN-NN-NNTNN:NN:NNZ"
+# the same grammar as one pattern; re.ASCII keeps \d to the digits 0-9
+_DATESTAMP_RE = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z",
+                           re.ASCII)
 
 
 def parse_datestamp(text: str) -> datetime:
@@ -55,6 +58,18 @@ def parse_datestamp(text: str) -> datetime:
     Raises MalformedDatestamp / NonUtc / ExcessPrecision; the exception's
     ``position`` attribute is the first offending character index.
     """
+    match = _DATESTAMP_RE.fullmatch(text)
+    if match is not None:
+        try:
+            return datetime(*map(int, match.groups()), tzinfo=timezone.utc)
+        except ValueError:
+            pass   # out of range: the walk below names the field
+    return _walk_datestamp(text)
+
+
+def _walk_datestamp(text: str) -> datetime:
+    """``parse_datestamp`` character by character, so that a rejection
+    carries the first offending position."""
     for i, expected in enumerate(_DATESTAMP_PATTERN):
         if i >= len(text):
             if i == 19:
@@ -530,14 +545,18 @@ def serialize_dc_payload(format_prefix: str,
 
 
 def serialize_header(header: RecordHeader) -> str:
-    status = ' status="deleted"' if header.deleted else ""
-    parts = [f"<header{status}>"]
-    parts.append(f"<identifier>{escape(header.identifier)}</identifier>")
-    parts.append(f"<datestamp>{format_datestamp(header.datestamp)}</datestamp>")
-    for spec in header.set_specs:
-        parts.append(f"<setSpec>{escape(spec)}</setSpec>")
-    parts.append("</header>")
-    return "".join(parts)
+    return header_xml(header.identifier, format_datestamp(header.datestamp),
+                      header.set_specs, header.deleted)
+
+
+def header_xml(identifier: str, datestamp: str, set_specs: tuple[str, ...],
+               deleted: bool = False) -> str:
+    """The OAI ``<header>`` element, from an already formatted datestamp: a
+    caller rendering many headers formats each distinct instant once."""
+    status = ' status="deleted"' if deleted else ""
+    specs = "".join([f"<setSpec>{escape(spec)}</setSpec>" for spec in set_specs])
+    return (f"<header{status}><identifier>{escape(identifier)}</identifier>"
+            f"<datestamp>{datestamp}</datestamp>{specs}</header>")
 
 
 def serialize_record(record: MetadataRecord, declare_ns: bool = True) -> bytes:

@@ -13,6 +13,12 @@ never persisted: the state file (``version`` 2) holds only what they are
 derived from. ``save`` replaces the file atomically (temp file, fsync,
 ``os.replace``), and ``load`` upgrades a version 1 file, which carried the
 exports as base64 and a ``position`` per element row.
+
+A serving snapshot builds its index on the first request it serves: per set
+and for all sets, the records in datestamp order with their datestamps and
+their OAI ``<header>`` elements as UTF-8 bytes, plus identifier maps to
+records and headers. Headers are fixed per snapshot, so each is rendered
+once, with each distinct served datestamp formatted once.
 """
 
 from __future__ import annotations
@@ -79,18 +85,21 @@ class SnapshotManifest:
 
 
 class _Listing(NamedTuple):
-    """Records in snapshot order and, in parallel, their served datestamps."""
+    """Records in snapshot order and, in parallel, their served datestamps
+    and their OAI ``<header>`` elements as UTF-8 bytes."""
 
     records: tuple[StoredRecord, ...]
     stamps: tuple[datetime, ...]
+    headers: tuple[bytes, ...]
 
 
-_EMPTY_LISTING = _Listing((), ())
+_EMPTY_LISTING = _Listing((), (), ())
 
 
 @dataclass(frozen=True)
 class _SnapshotIndex:
     by_identifier: dict[str, StoredRecord]
+    headers: dict[str, bytes]     # repo_identifier -> OAI <header>
     everything: _Listing
     by_set: dict[str, _Listing]   # in setSpec order
 
@@ -109,40 +118,56 @@ class ServingSnapshot:
 
     @cached_property
     def _index(self) -> _SnapshotIndex:
-        """Every lookup the server needs, built on first use rather than at
-        publish: harvest-only callers publish and never serve."""
-        stamps = tuple(r.served_datestamp for r in self.records)
+        """Every lookup the server needs, and every record's OAI header
+        rendered once, built on first use rather than at publish:
+        harvest-only callers publish and never serve."""
+        records = tuple(self.records)
+        stamps = tuple(r.served_datestamp for r in records)
         if any(a > b for a, b in zip(stamps, stamps[1:])):
             raise ValueError("snapshot records are not in datestamp order")
-        by_set: dict[str, list[StoredRecord]] = {}
-        for r in self.records:
-            by_set.setdefault(r.collection_id, []).append(r)
+        # a snapshot has few distinct served datestamps: format each once
+        texts = {stamp: format_datestamp(stamp) for stamp in set(stamps)}
+        headers = tuple(
+            model.header_xml(r.repo_identifier, texts[r.served_datestamp],
+                             (r.collection_id,), r.deleted).encode()
+            for r in records)
+        by_set: dict[str, list[int]] = {}
+        for i, r in enumerate(records):
+            by_set.setdefault(r.collection_id, []).append(i)
         return _SnapshotIndex(
-            by_identifier={r.repo_identifier: r for r in self.records},
-            everything=_Listing(tuple(self.records), stamps),
-            by_set={spec: _Listing(tuple(recs),
-                                   tuple(r.served_datestamp for r in recs))
-                    for spec, recs in sorted(by_set.items())},
+            by_identifier={r.repo_identifier: r for r in records},
+            headers={r.repo_identifier: h for r, h in zip(records, headers)},
+            everything=_Listing(records, stamps, headers),
+            by_set={spec: _Listing(tuple(records[i] for i in positions),
+                                   tuple(stamps[i] for i in positions),
+                                   tuple(headers[i] for i in positions))
+                    for spec, positions in sorted(by_set.items())},
         )
 
     def by_identifier(self, repo_identifier: str) -> StoredRecord | None:
         return self._index.by_identifier.get(repo_identifier)
 
+    def header(self, repo_identifier: str) -> bytes:
+        """The record's OAI ``<header>`` element: its repository identifier,
+        served datestamp, collection as setSpec, and deleted status."""
+        return self._index.headers[repo_identifier]
+
     def set_specs(self) -> tuple[str, ...]:
         return tuple(self._index.by_set)
 
     def select(self, set_spec: str | None, from_: datetime | None,
-               until: datetime) -> tuple[tuple[StoredRecord, ...], int, int]:
+               until: datetime) -> tuple[_Listing, int, int]:
         """The records of ``set_spec`` (every set when None) served within
-        ``[from_, until]``, as ``records[lo:hi]`` of the returned tuple,
-        which is in snapshot order. Costs O(log N)."""
+        ``[from_, until]``, as ``records[lo:hi]`` of the returned listing,
+        which is in snapshot order; ``headers[lo:hi]`` are their headers.
+        Costs O(log N)."""
         if set_spec is None:
             listing = self._index.everything
         else:
             listing = self._index.by_set.get(set_spec, _EMPTY_LISTING)
         lo = 0 if from_ is None else bisect_left(listing.stamps, from_)
         hi = bisect_right(listing.stamps, until, lo)
-        return listing.records, lo, hi
+        return listing, lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +418,8 @@ class Repository:
                 os.fsync(f.fileno())
             os.replace(tmp, path)
         except BaseException:
-            os.unlink(tmp)
+            # open() may have failed before creating it
+            tmp.unlink(missing_ok=True)
             raise
 
     @classmethod

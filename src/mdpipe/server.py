@@ -4,6 +4,11 @@ Read-only: the only mutation is swapping in a newly published snapshot.
 Resumption tokens are stateless: the query state is signed and encoded in
 the token itself, bound to the snapshot it was minted against, so a publish
 invalidates outstanding tokens and harvesters restart their lists.
+
+Responses are assembled as bytes. A record is the ``<header>`` its snapshot
+rendered once (``ServingSnapshot.header`` and ``select``) followed by its
+stored export payload, so serving a page formats, escapes and re-encodes
+nothing per record.
 """
 
 from __future__ import annotations
@@ -147,7 +152,7 @@ class OaiServer:
 
     # -- envelope helpers
 
-    def _envelope(self, verb: str | None, body: str, now: datetime,
+    def _envelope(self, verb: str | None, body: bytes, now: datetime,
                   request_attrs: dict[str, str] | None = None) -> bytes:
         attrs = ""
         if verb:
@@ -159,13 +164,12 @@ class OaiServer:
             f"<OAI-PMH xmlns={quoteattr(OAI_NS)}>"
             f"<responseDate>{format_datestamp(now)}</responseDate>"
             f"<request{attrs}>{escape(self.config.base_url)}</request>"
-            f"{body}</OAI-PMH>"
-        ).encode()
+        ).encode() + body + b"</OAI-PMH>"
 
     def _error_response(self, verb, code, message) -> bytes:
         body = f"<error code={quoteattr(code)}>{escape(message)}</error>"
-        return self._envelope(verb if code != "badVerb" else None, body,
-                              self.clock())
+        return self._envelope(verb if code != "badVerb" else None,
+                              body.encode(), self.clock())
 
     # -- verbs
 
@@ -186,7 +190,7 @@ class OaiServer:
             "<deletedRecord>persistent</deletedRecord>"
             f"<granularity>{GRANULARITY_SECOND}</granularity>"
             "</Identify>")
-        return self._envelope("Identify", body, now)
+        return self._envelope("Identify", body.encode(), now)
 
     def _list_metadata_formats(self, args, now) -> bytes:
         if "identifier" in args:
@@ -202,7 +206,8 @@ class OaiServer:
                 f"<metadataNamespace>urn:x-mdpipe:{fmt}</metadataNamespace>"
                 "</metadataFormat>")
         parts.append("</ListMetadataFormats>")
-        return self._envelope("ListMetadataFormats", "".join(parts), now)
+        return self._envelope("ListMetadataFormats", "".join(parts).encode(),
+                              now)
 
     def _list_sets(self, now) -> bytes:
         specs = self.snapshot.set_specs()
@@ -211,7 +216,7 @@ class OaiServer:
             parts.append(f"<set><setSpec>{escape(spec)}</setSpec>"
                          f"<setName>{escape(spec)}</setName></set>")
         parts.append("</ListSets>")
-        return self._envelope("ListSets", "".join(parts), now)
+        return self._envelope("ListSets", "".join(parts).encode(), now)
 
     def _get_record(self, args, now) -> bytes:
         for required in ("identifier", "metadataPrefix"):
@@ -223,8 +228,9 @@ class OaiServer:
         rec = self.snapshot.by_identifier(args["identifier"])
         if rec is None or rec.served_datestamp > now:
             raise OaiProtocolError("idDoesNotExist", args["identifier"])
-        body = ("<GetRecord>" + self._serialize_record(rec, prefix)
-                + "</GetRecord>")
+        body = (b"<GetRecord>" + self._serialize_record(
+            rec, self.snapshot.header(rec.repo_identifier), prefix)
+            + b"</GetRecord>")
         return self._envelope("GetRecord", body, now,
                               {"identifier": args["identifier"],
                                "metadataPrefix": prefix})
@@ -266,19 +272,22 @@ class OaiServer:
 
         # records served after `now` are not visible yet
         visible_until = now if until is None else min(now, until)
-        records, lo, hi = self.snapshot.select(set_spec, from_, visible_until)
+        listing, lo, hi = self.snapshot.select(set_spec, from_, visible_until)
         if lo == hi:
             raise OaiProtocolError("noRecordsMatch", "no records in window")
         size = hi - lo
 
         start = lo + position
-        page = records[start:min(start + self.config.page_size, hi)]
-        next_pos = position + len(page)
+        stop = min(start + self.config.page_size, hi)
+        headers = listing.headers[start:stop]
+        next_pos = position + len(headers)
 
         if verb == "ListIdentifiers":
-            items = "".join(self._serialize_oai_header(r) for r in page)
+            items = b"".join(headers)
         else:
-            items = "".join(self._serialize_record(r, prefix) for r in page)
+            items = b"".join(
+                self._serialize_record(rec, header, prefix)
+                for rec, header in zip(listing.records[start:stop], headers))
 
         token_el = ""
         if next_pos < size:
@@ -294,29 +303,21 @@ class OaiServer:
             token_el = (f'<resumptionToken completeListSize="{size}"'
                         f' cursor="{position}"></resumptionToken>')
 
-        body = f"<{verb}>{items}{token_el}</{verb}>"
+        body = f"<{verb}>".encode() + items + f"{token_el}</{verb}>".encode()
         request_attrs = {"metadataPrefix": prefix} \
             if "resumptionToken" not in args else {}
         return self._envelope(verb, body, now, request_attrs)
 
-    # -- record serialization (served datestamp, set = collection)
+    # -- record serialization: the snapshot's header, then the export
 
-    def _serialize_oai_header(self, rec: StoredRecord) -> str:
-        status = ' status="deleted"' if rec.deleted else ""
-        return (
-            f"<header{status}>"
-            f"<identifier>{escape(rec.repo_identifier)}</identifier>"
-            f"<datestamp>{format_datestamp(rec.served_datestamp)}</datestamp>"
-            f"<setSpec>{escape(rec.collection_id)}</setSpec>"
-            "</header>")
-
-    def _serialize_record(self, rec: StoredRecord, prefix: str) -> str:
-        header = self._serialize_oai_header(rec)
+    @staticmethod
+    def _serialize_record(rec: StoredRecord, header: bytes,
+                          prefix: str) -> bytes:
         if rec.deleted:
-            return f"<record>{header}</record>"
+            return b"<record>" + header + b"</record>"
         payload = (rec.exports or {}).get(prefix, b"")
-        return (f"<record>{header}<metadata>{payload.decode('utf-8')}"
-                "</metadata></record>")
+        return (b"<record>" + header + b"<metadata>" + payload
+                + b"</metadata></record>")
 
     # ------------------------------------------------------------------
     # Transport adapter (in-process harvesting of this server)

@@ -113,6 +113,57 @@ def test_datestamp_grammar_agrees_with_regex_oracle():
     assert n_checked == 100_000
 
 
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: the datetime, or the rejection's
+    class, position and message."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), getattr(exc, "position", None), str(exc)
+
+
+_DATESTAMP_CHARS = "0123456789\u0660\u0663\u0669-:TZ.+ \n"
+
+
+@st.composite
+def _datestamp_texts(draw):
+    """Datestamp-shaped strings with fields just past their ranges, one
+    character swapped, cut short, or a different ending."""
+    text = "%04d-%02d-%02dT%02d:%02d:%02dZ" % (
+        draw(st.integers(0, 9999)), draw(st.integers(0, 13)),
+        draw(st.integers(0, 32)), draw(st.integers(0, 25)),
+        draw(st.integers(0, 60)), draw(st.integers(0, 61)))
+    change = draw(st.sampled_from(["none", "swap", "cut", "ending"]))
+    if change == "swap":
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + draw(st.sampled_from(_DATESTAMP_CHARS)) + text[i + 1:]
+    elif change == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif change == "ending":
+        text = text[:-1] + draw(st.sampled_from(
+            ["Z\n", ".5Z", "+00:00", "ZZ", "z", ""]))
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_datestamp_texts() | st.text(_DATESTAMP_CHARS, max_size=22))
+def test_parse_datestamp_agrees_with_character_walk(text):
+    assert _outcome(parse_datestamp, text) == _outcome(model._walk_datestamp,
+                                                       text)
+
+
+@pytest.mark.parametrize("text", [
+    "2005-02-29T00:00:00Z", "2005-04-31T00:00:00Z", "2005-08-01T24:00:00Z",
+    "2005-08-01T23:59:60Z", "0000-08-01T00:00:00Z",
+    "\u0662\u0660\u0660\u0665-08-01T00:00:00Z", "2005-08-01T00:00:00Z\n",
+    "2005-08-01T00:00:00.5Z", "2005-08-01T00:00:00+00:00", "2005-08-01T00:0",
+])
+def test_parse_datestamp_near_misses_match_character_walk(text):
+    outcome = _outcome(parse_datestamp, text)
+    assert outcome == _outcome(model._walk_datestamp, text)
+    assert not isinstance(outcome, datetime)
+
+
 # ---------------------------------------------------------------------------
 # parse_list_response
 

@@ -366,7 +366,7 @@ class _TornFile:
         raise OSError("disk full")
 
 
-@pytest.mark.parametrize("fault", ["write", "fsync", "replace"])
+@pytest.mark.parametrize("fault", ["open", "write", "fsync", "replace"])
 def test_failed_save_keeps_previous_state(tmp_path, repo, monkeypatch, fault):
     path = tmp_path / "state" / "repository.json"
     repo.save(path)
@@ -377,13 +377,20 @@ def test_failed_save_keeps_previous_state(tmp_path, repo, monkeypatch, fault):
     def boom(*args, **kwargs):
         raise OSError("injected")
 
-    if fault == "write":
+    def denied(*args, **kwargs):
+        raise PermissionError("injected")
+
+    # a failed open() must surface as itself, not as the cleanup's error
+    expected = PermissionError if fault == "open" else OSError
+    if fault == "open":
+        monkeypatch.setattr(repository, "open", denied, raising=False)
+    elif fault == "write":
         monkeypatch.setattr(repository, "open",
                             lambda *a, **k: _TornFile(open(*a, **k)),
                             raising=False)
     else:
         monkeypatch.setattr(repository.os, fault, boom)
-    with pytest.raises(OSError):
+    with pytest.raises(expected):
         repo.save(path)
     monkeypatch.undo()
     assert path.read_bytes() == before

@@ -1,5 +1,7 @@
 """Provider endpoint: verbs, paging, tokens, and datestamp visibility."""
 
+import hashlib
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -12,6 +14,7 @@ from mdpipe.client import OaiClient
 from mdpipe.ingest import TransformConfig, build_db_insert, safe_transform
 from mdpipe.model import DcElement, MetadataRecord, RecordHeader
 from mdpipe.repository import (
+    EXPORT_FORMATS,
     Repository,
     ServingSnapshot,
     SnapshotManifest,
@@ -464,3 +467,81 @@ def test_pages_after_the_first_request_do_not_rescan_records(server):
         assert _error_code(server.handle_request(verb, args)) is None
     assert pages == 3
     assert records.iterations == built
+
+
+# ---------------------------------------------------------------------------
+# Served bytes, pinned
+
+
+def _pinned_snapshot() -> ServingSnapshot:
+    """Two collections, one with non-public natives and an identifier that
+    needs escaping, revised and tombstoned records, and one record whose
+    served datestamp is still in the future at T0."""
+    repo = Repository(postdate_offset=timedelta(hours=3))
+    for coll, title in (("coll-1", "Collection One"),
+                        ("c&2", "Collection <Two>")):
+        repo.register_collection_record(
+            coll, (DcElement("title", title),), T0 - timedelta(days=30))
+    repo.insert(_doc(14), now=T0 - timedelta(days=2))
+    repo.insert(_doc(9, collection="c&2", start=100),
+                now=T0 - timedelta(days=1), native_public=False)
+    repo.insert(_doc(3, start=5), now=T0 - timedelta(hours=12))
+    for coll, source in (("coll-1", "oai:src:0002"), ("coll-1", "oai:src:0006"),
+                         ("c&2", "oai:src:0103")):
+        repo.delete_by_source(coll, source, T0 - timedelta(hours=6))
+    repo.insert(_doc(1, start=200), now=T0 - timedelta(hours=1))
+    return repo.publish(now=T0)
+
+
+_TOKEN_RE = re.compile(rb"<resumptionToken[^>]*>([^<]+)</resumptionToken>")
+
+# SHA-256 of every response of the walk below, in order
+PINNED_SHA256 = (
+    "63b423190663834be234b73a65e27b32a33065253fb1ced319151c771c825706")
+
+
+def test_served_bytes_pinned():
+    snapshot = _pinned_snapshot()
+    srv = OaiServer(ServerConfig(page_size=4), snapshot, clock=lambda: T0,
+                    secret=b"pinned-secret")
+    hasher = hashlib.sha256()
+
+    def ask(verb, args):
+        resp = srv.handle_request(verb, args)
+        hasher.update(resp)
+        return resp
+
+    for verb in ("Identify", "ListSets", "ListMetadataFormats"):
+        ask(verb, {})
+    windows = ({}, {"set": "coll-1"}, {"set": "c&2"},
+               {"from": "2006-02-28T06:00:00Z", "until": "2006-03-01T00:00:00Z"})
+    for verb in ("ListRecords", "ListIdentifiers"):
+        for prefix in EXPORT_FORMATS:
+            for window in windows:
+                resp = ask(verb, {"metadataPrefix": prefix, **window})
+                while match := _TOKEN_RE.search(resp):
+                    resp = ask(verb,
+                               {"resumptionToken": match.group(1).decode()})
+    for rec in snapshot.records:
+        for prefix in EXPORT_FORMATS:
+            ask("GetRecord", {"identifier": rec.repo_identifier,
+                              "metadataPrefix": prefix})
+    ask("GetRecord", {"identifier": "oai:nowhere:0", "metadataPrefix": "oai_dc"})
+    ask("ListRecords", {"metadataPrefix": "marc21"})
+    assert hasher.hexdigest() == PINNED_SHA256
+
+
+def test_index_headers_are_serialize_header():
+    snapshot = _pinned_snapshot()
+    deleted = next(r for r in snapshot.records if r.deleted)
+    live = next(r for r in snapshot.records
+                if not r.deleted and r.collection_id == "c&2")
+    for rec in (deleted, live):
+        expected = model.serialize_header(RecordHeader(
+            rec.repo_identifier, rec.served_datestamp, (rec.collection_id,),
+            rec.deleted)).encode()
+        assert snapshot.header(rec.repo_identifier) == expected
+        listing, lo, hi = snapshot.select(rec.collection_id,
+                                          rec.served_datestamp,
+                                          rec.served_datestamp)
+        assert expected in listing.headers[lo:hi]
