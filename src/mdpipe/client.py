@@ -1,4 +1,4 @@
-"""Harvesting client: protocol verbs, resumption-token chains, full and
+"""Harvesting client: ListRecords resumption-token chains, full and
 incremental harvests, and the three-way failure classification.
 
 The client is stateless between calls; watermark bookkeeping lives in the
@@ -13,7 +13,7 @@ import logging
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Callable, Iterator, Protocol
 from urllib.parse import urlencode
@@ -39,6 +39,10 @@ class Transport(Protocol):
 
 HTTP_TIMEOUT_S = 30.0
 USER_AGENT = "mdpipe-harvester/0.1"
+#: retries of a transient failure before a request gives up
+MAX_RETRIES = 3
+#: the first retry waits this long; each further retry doubles it
+BACKOFF_BASE_S = 30.0
 
 
 class HttpTransport:
@@ -80,22 +84,6 @@ def classify_failure(error: BaseException) -> FailureCategory:
     return FailureCategory.PROTOCOL_VIOLATION
 
 
-class HarvestFailure(Exception):
-    def __init__(self, category: FailureCategory, detail: str):
-        super().__init__(f"{category.value}: {detail}")
-        self.category = category
-        self.detail = detail
-
-
-@dataclass(frozen=True)
-class ProviderInfo:
-    base_url: str
-    repository_name: str
-    deleted_policy: str          # no | transient | persistent
-    earliest_datestamp: datetime
-    granularity: str             # day | second
-
-
 @dataclass(frozen=True)
 class HarvestResult:
     records: tuple[MetadataRecord, ...]
@@ -112,11 +100,8 @@ class HarvestResult:
 
 class OaiClient:
     def __init__(self, transport: Transport | None = None,
-                 max_retries: int = 3, backoff_base: float = 30.0,
                  sleep: Callable[[float], None] = time.sleep):
         self.transport = transport or HttpTransport()
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
         self.sleep = sleep
 
     # ------------------------------------------------------------------
@@ -129,50 +114,13 @@ class OaiClient:
                 return self.transport.get(url)
             except TransportError as exc:
                 if (classify_failure(exc) is not FailureCategory.TRANSIENT
-                        or attempt >= self.max_retries):
+                        or attempt >= MAX_RETRIES):
                     raise
-                delay = self.backoff_base * (2 ** attempt)
+                delay = BACKOFF_BASE_S * (2 ** attempt)
                 logger.info("transient failure (%s), retry %d in %.0fs",
                             exc, attempt + 1, delay)
                 self.sleep(delay)
                 attempt += 1
-
-    def identify(self, base_url: str) -> ProviderInfo:
-        """First probe of a provider. Raises HarvestFailure, categorized."""
-        try:
-            data = self._fetch(base_url, {"verb": "Identify"})
-            info = model.parse_identify(data)
-        except SchemaViolation as exc:
-            # a well-formed Identify missing required elements breaks a
-            # protocol rule, not a data-format rule
-            raise HarvestFailure(FailureCategory.PROTOCOL_VIOLATION,
-                                 str(exc)) from exc
-        except Exception as exc:
-            raise HarvestFailure(classify_failure(exc), str(exc)) from exc
-        try:
-            earliest = model.parse_datestamp(info.earliest_datestamp)
-            granularity = "second"
-        except ValueError:
-            if not model.is_day_granularity(info.earliest_datestamp):
-                raise HarvestFailure(
-                    FailureCategory.PROTOCOL_VIOLATION,
-                    f"unparseable earliestDatestamp "
-                    f"{info.earliest_datestamp!r}")
-            earliest = datetime.strptime(
-                info.earliest_datestamp, "%Y-%m-%d").replace(
-                tzinfo=model.timezone.utc)
-            granularity = "day"
-        if info.granularity == model.GRANULARITY_SECOND:
-            granularity = "second"
-        elif info.granularity == model.GRANULARITY_DAY:
-            granularity = "day"
-        return ProviderInfo(
-            base_url=base_url,
-            repository_name=info.repository_name,
-            deleted_policy=info.deleted_policy,
-            earliest_datestamp=earliest,
-            granularity=granularity,
-        )
 
     def _pages(self, base_url: str, format_prefix: str,
                set_spec: str | None = None,

@@ -11,7 +11,7 @@ import calendar
 import re
 import xml.etree.ElementTree as ET
 import xml.parsers.expat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from urllib.parse import urlsplit
 from xml.sax.saxutils import escape, quoteattr
@@ -109,9 +109,13 @@ def _walk_datestamp(text: str) -> datetime:
 
 
 def format_datestamp(instant: datetime) -> str:
+    """The second-granularity Zulu datestamp of an aware instant, with the
+    year always four digits (``strftime("%Y")`` drops leading zeros)."""
     if instant.tzinfo is None:
         raise ValueError("naive datetime cannot be formatted as a datestamp")
-    return instant.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    t = instant.astimezone(timezone.utc)
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (
+        t.year, t.month, t.day, t.hour, t.minute, t.second)
 
 
 def is_day_granularity(text: str) -> bool:
@@ -188,7 +192,6 @@ class ResumptionToken:
     token: str
     complete_list_size: int | None = None
     cursor: int | None = None
-    expiration: datetime | None = None
 
     @property
     def is_final(self) -> bool:
@@ -460,17 +463,10 @@ def parse_list_response(data: bytes,
         attrs = lp.token_attrs
         size = attrs.get("completeListSize")
         cursor = attrs.get("cursor")
-        expiration = None
-        if attrs.get("expirationDate"):
-            try:
-                expiration = parse_datestamp(attrs["expirationDate"])
-            except ValueError:
-                expiration = None
         token = ResumptionToken(
             token=lp.token_text,
             complete_list_size=int(size) if size is not None else None,
             cursor=int(cursor) if cursor is not None else None,
-            expiration=expiration,
         )
     return ListResponse(records=records, token=token, response_date=response_date)
 
@@ -559,32 +555,6 @@ def header_xml(identifier: str, datestamp: str, set_specs: tuple[str, ...],
             f"<datestamp>{datestamp}</datestamp>{specs}</header>")
 
 
-def serialize_record(record: MetadataRecord, declare_ns: bool = True) -> bytes:
-    """Serialize a record as an OAI <record> element.
-
-    DC-profile payloads are re-serialized canonically; other payloads are
-    written verbatim from raw_xml.
-    """
-    ns = f" xmlns={quoteattr(OAI_NS)}" if declare_ns else ""
-    parts = [f"<record{ns}>".encode(), serialize_header(record.header).encode()]
-    if not record.header.deleted:
-        parts.append(b"<metadata>")
-        if record.format_prefix in DC_PROFILE_PREFIXES or record.elements:
-            parts.append(serialize_dc_payload(record.format_prefix, record.elements))
-        else:
-            parts.append(record.raw_xml)
-        parts.append(b"</metadata>")
-    parts.append(b"</record>")
-    return b"".join(parts)
-
-
-def records_equal(a: MetadataRecord, b: MetadataRecord) -> bool:
-    """Element-wise equality ignoring raw_xml (serialization canonicalizes)."""
-    return (a.header == b.header
-            and a.format_prefix == b.format_prefix
-            and a.elements == b.elements)
-
-
 # ---------------------------------------------------------------------------
 # Identify
 
@@ -592,7 +562,6 @@ _IDENTIFY_REQUIRED = ("repositoryName", "baseURL", "protocolVersion",
                       "earliestDatestamp", "deletedRecord", "granularity")
 
 GRANULARITY_SECOND = "YYYY-MM-DDThh:mm:ssZ"
-GRANULARITY_DAY = "YYYY-MM-DD"
 
 
 def parse_identify(data: bytes) -> IdentifyInfo:

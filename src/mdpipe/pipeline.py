@@ -1,10 +1,13 @@
 """End-to-end harvest orchestration.
 
 One run_harvest call takes a collection from "due" to "attempt recorded":
-decide the mode, pull records from the provider, push them through the safe
-transforms, batch them into an insert document, apply inserts and
-tombstones to the repository, reconcile on full harvests, and fold the
-attempt into the registry. Failed harvests leave the repository untouched.
+decide the mode from the collection's folded state, pull records from the
+provider, push them through the safe transforms, batch them into an insert
+document, apply inserts and tombstones to the repository, reconcile on full
+harvests, and fold the attempt into the registry. Failed harvests leave the
+repository untouched. A harvest that raises records no attempt, so the
+registry is as it was before the call and the collection is still due.
+Harvests run one after another: nothing schedules while one is running.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from . import ingest
 from .client import OaiClient
 from .errors import UnknownIdentifier
 from .ingest import TransformConfig
-from .registry import HarvestAttempt, Registry
+from .registry import HarvestAttempt, Registry, decide_mode
 from .repository import Repository
 from .model import format_datestamp
 
@@ -37,24 +40,11 @@ def run_harvest(registry: Registry, repository: Repository,
                 now: datetime) -> HarvestOutcome:
     """Harvest one collection and commit the result atomically with
     respect to the attempt log: nothing is stored unless the harvest
-    stream completed."""
-    cfg = TransformConfig.default()
-    mode = registry.begin(collection_id)
-    try:
-        return _harvest(registry, repository, client, collection_id, now,
-                        cfg, mode)
-    except BaseException:
-        # no attempt is recorded, so the watermark stays; clear the
-        # in-flight mark so the collection is due again
-        registry.abandon(collection_id)
-        raise
-
-
-def _harvest(registry: Registry, repository: Repository, client: OaiClient,
-             collection_id: str, now: datetime, cfg: TransformConfig,
-             mode: str) -> HarvestOutcome:
+    stream completed. If a step raises, no attempt is recorded, so the
+    watermark stays and the collection stays due."""
     state = registry.state(collection_id)
     config = state.config
+    mode = decide_mode(state)
 
     result = client.harvest(
         config.base_url, config.format_prefix, set_spec=config.set_spec,
@@ -72,6 +62,7 @@ def _harvest(registry: Registry, repository: Repository, client: OaiClient,
         return HarvestOutcome(attempt=attempt)
 
     attempt_id = f"{collection_id}@{format_datestamp(now)}"
+    cfg = TransformConfig.default()
     pairs = []
     tombstones = []
     for record in result.records:

@@ -1,17 +1,18 @@
 """Collection registry: registration gating, harvest scheduling, and the
 append-only attempt log.
 
-All mutable state is a pure fold over an event log (registrations and
-harvest attempts), so a registry can be rebuilt exactly by replaying its
-JSONL log. Scheduling decisions (full vs incremental, periodic re-sync)
-are pure functions of the folded state.
+All state is a pure fold over an event log (registrations and harvest
+attempts), and nothing is held beside it, so a registry can be rebuilt
+exactly by replaying its JSONL log. Scheduling decisions (which collections
+are due, full vs incremental, periodic re-sync) are pure functions of the
+folded state.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -116,7 +117,6 @@ class Registry:
         self.log_path = Path(log_path) if log_path else None
         self._states: dict[str, CollectionState] = {}
         self._attempts: list[HarvestAttempt] = []
-        self._running: set[str] = set()
 
     # ------------------------------------------------------------------
     # Registration
@@ -166,12 +166,9 @@ class Registry:
     # Scheduling
 
     def schedule_due(self, now: datetime) -> list[str]:
-        """Collections whose interval has elapsed and that are not already
-        mid-harvest, oldest first."""
+        """Collections whose interval has elapsed, oldest first."""
         due = []
         for cid, state in self._states.items():
-            if cid in self._running:
-                continue
             if (state.last_attempt_at is None
                     or now - state.last_attempt_at
                     >= state.config.harvest_interval):
@@ -180,23 +177,11 @@ class Registry:
         due.sort()
         return [cid for _, cid in due]
 
-    def begin(self, collection_id: str) -> str:
-        """Mark a harvest in flight and return the mode to run."""
-        state = self.state(collection_id)
-        self._running.add(collection_id)
-        return decide_mode(state)
-
-    def abandon(self, collection_id: str) -> None:
-        """Clear the in-flight mark of a harvest that ended without an
-        attempt to record (it raised), so the collection can be due again."""
-        self._running.discard(collection_id)
-
     def record_attempt(self, attempt: HarvestAttempt) -> CollectionState:
         state = self.state(attempt.collection_id)
         new_state = apply_attempt(state, attempt)
         self._states[attempt.collection_id] = new_state
         self._attempts.append(attempt)
-        self._running.discard(attempt.collection_id)
         self._append_event(_attempt_event(attempt))
         return new_state
 

@@ -343,26 +343,6 @@ class Repository:
     def count(self) -> int:
         return len(self._records)
 
-    # -- element queries over the normalized elements
-
-    def fetchable_uri_values(self, record: StoredRecord) -> list[str]:
-        return [row.value for row in record.normalized_rows
-                if row.name == "identifier" and row.scheme == "URI"]
-
-    def count_records_with_min_uris(self, k: int) -> int:
-        return sum(
-            1 for r in self._records.values()
-            if not r.deleted and not r.is_collection
-            and len(self.fetchable_uri_values(r)) >= k)
-
-    def list_uri_identifiers(self) -> list[str]:
-        values = []
-        for r in sorted(self._records.values(),
-                        key=lambda r: r.repo_identifier):
-            if not r.deleted and not r.is_collection:
-                values.extend(self.fetchable_uri_values(r))
-        return values
-
     # -- publish
 
     def publish(self, now: datetime) -> ServingSnapshot:

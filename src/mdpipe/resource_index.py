@@ -295,9 +295,11 @@ def build_resource_centric(
 # ---------------------------------------------------------------------------
 # Content fetching
 
+#: a resource larger than this is not hashed (FetchError "too-large")
+MAX_CONTENT_BYTES = 1 << 20
 
-def fetch_content(url: str, fetcher: Callable[[str], bytes],
-                  max_bytes: int = 1 << 20) -> str:
+
+def fetch_content(url: str, fetcher: Callable[[str], bytes]) -> str:
     """Fetch a resource and return its MD5 content hash (hex)."""
     try:
         body = fetcher(url)
@@ -305,13 +307,13 @@ def fetch_content(url: str, fetcher: Callable[[str], bytes],
         raise
     except Exception as exc:
         raise FetchError("connection", str(exc)) from exc
-    if len(body) > max_bytes:
+    if len(body) > MAX_CONTENT_BYTES:
         raise FetchError("too-large", f"{len(body)} bytes")
     return hashlib.md5(body).hexdigest()
 
 
-def content_hasher(fetcher: Callable[[str], bytes],
-                   max_bytes: int = 1 << 20) -> Callable[[str], str | None]:
+def content_hasher(fetcher: Callable[[str], bytes]
+                   ) -> Callable[[str], str | None]:
     """Wrap a fetcher into the optional hash callback used by the
     resource-centric build; fetch failures simply skip the merge."""
     cache: dict[str, str | None] = {}
@@ -319,7 +321,7 @@ def content_hasher(fetcher: Callable[[str], bytes],
     def hash_url(url: str) -> str | None:
         if url not in cache:
             try:
-                cache[url] = fetch_content(url, fetcher, max_bytes)
+                cache[url] = fetch_content(url, fetcher)
             except FetchError as exc:
                 logger.debug("content fetch failed for %s: %s", url, exc)
                 cache[url] = None

@@ -35,6 +35,9 @@ from .model import (
 )
 from .repository import EXPORT_FORMATS, ServingSnapshot, StoredRecord
 
+#: how long a minted resumption token stays valid
+TOKEN_TTL = timedelta(hours=1)
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -42,7 +45,6 @@ class ServerConfig:
     repository_name: str = "mdpipe aggregator"
     base_url: str = "http://localhost:8080/oai"
     admin_email: str = "admin@example.org"
-    token_ttl: timedelta = timedelta(hours=1)
 
     def __post_init__(self):
         if self.page_size < 1:
@@ -70,9 +72,6 @@ class OaiServer:
         self.clock = clock or (lambda: datetime.now(timezone.utc))
         self.secret = secret or _secrets.token_bytes(32)
 
-    def set_snapshot(self, snapshot: ServingSnapshot) -> None:
-        self.snapshot = snapshot
-
     # ------------------------------------------------------------------
     # Tokens
 
@@ -82,7 +81,7 @@ class OaiServer:
         payload.update({
             "pos": position,
             "snap": self.snapshot.snapshot_id,
-            "exp": format_datestamp(now + self.config.token_ttl),
+            "exp": format_datestamp(now + TOKEN_TTL),
         })
         blob = base64.urlsafe_b64encode(
             json.dumps(payload, sort_keys=True).encode()).decode().rstrip("=")

@@ -27,23 +27,6 @@ FAULTS = frozenset({
     "SplashPageUrls", "IdentifyMissingField",
 })
 
-#: Documented fault -> diagnosis table: the failure category classify_failure
-#: must produce when the fault breaks a harvest, and/or the validator check_id
-#: that must fail when the fault is active during validation.
-FAULT_DIAGNOSIS = {
-    "Disconnect": {"category": "Transient", "check": None},
-    "Http5xx": {"category": "Transient", "check": None},
-    "InvalidUtf8": {"category": "DataFormat", "check": "utf8-strict"},
-    "BrokenToken": {"category": "ProtocolViolation", "check": "token-roundtrip"},
-    "WrongDatestamp": {"category": "DataFormat", "check": "datestamp-format"},
-    "SchemaInvalidRecord": {"category": "DataFormat", "check": "schema-valid"},
-    "NonIdempotentWindow": {"category": None, "check": "window-idempotency"},
-    "ForgottenDeletes": {"category": None, "check": "deleted-policy"},
-    "SplashPageUrls": {"category": None, "check": None},  # index-level effect
-    "IdentifyMissingField": {"category": "ProtocolViolation",
-                             "check": "identify-well-formed"},
-}
-
 SPLASH_URL = "http://content.sim.invalid/splash"
 
 

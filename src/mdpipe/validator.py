@@ -72,10 +72,6 @@ class ValidationReport:
         return tuple(c.check_id for c in self.checks
                      if not c.passed and c.severity == ERROR)
 
-    def warnings(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks
-                     if not c.passed and c.severity == WARNING)
-
     def to_dict(self) -> dict:
         return {
             "base_url": self.base_url,

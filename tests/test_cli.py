@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from mdpipe import ingest, model
 from mdpipe.cli import main
+from mdpipe.model import DcElement, MetadataRecord, RecordHeader
+from mdpipe.repository import Repository
 from mdpipe.sim import FaultSpec, make_scenario
 
 AT = "2005-02-01T00:00:00Z"
@@ -158,3 +161,55 @@ def test_pipeline_command_harvests_due(env, capsys):
 def test_bad_config_path_exit_two(tmp_path):
     code = main(["--config", str(tmp_path / "missing.json"), "stats"])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# ingest
+
+
+def _insert_document(tmp_path, collection_id):
+    header = RecordHeader(identifier="oai:manual:1",
+                          datestamp=model.parse_datestamp(AT))
+    elements = (DcElement("title", "Manual"),
+                DcElement("identifier", "http://example.org/manual",
+                          scheme="URI"))
+    rec = MetadataRecord(
+        header=header, format_prefix="oai_dc", elements=elements,
+        raw_xml=model.serialize_dc_payload("oai_dc", elements))
+    pair = (rec, ingest.safe_transform(rec, ingest.TransformConfig.default()))
+    path = tmp_path / f"{collection_id}.xml"
+    path.write_bytes(ingest.serialize_db_insert(
+        ingest.build_db_insert([pair], collection_id, "manual-1")))
+    return str(path)
+
+
+def _state_file(tmp_path):
+    return tmp_path / "state" / "repository.json"
+
+
+def test_ingest_publishes_and_saves(env, tmp_path, capsys):
+    assert _register(env) == 0
+    capsys.readouterr()
+    code = _run(env, "--json", "ingest", _insert_document(tmp_path, "coll-1"),
+                "--at", AT)
+    assert code == 0
+    minted = json.loads(capsys.readouterr().out)["inserted"]
+    assert len(minted) == 1
+    saved = Repository.load(_state_file(tmp_path))
+    assert saved.get(minted[0]).source_identifier == "oai:manual:1"
+    snapshot = saved.publish(model.parse_datestamp(AT))
+    assert minted[0] in {r.repo_identifier for r in snapshot.records}
+
+
+@pytest.mark.parametrize("document", ["unknown-collection", "truncated"])
+def test_ingest_failure_exit_two_keeps_state(env, tmp_path, document):
+    assert _register(env) == 0
+    before = _state_file(tmp_path).read_bytes()
+    if document == "truncated":
+        path = tmp_path / "truncated.xml"
+        path.write_bytes(b"<dbInsert")
+        path = str(path)
+    else:
+        path = _insert_document(tmp_path, "ghost")
+    assert _run(env, "ingest", path, "--at", AT) == 2
+    assert _state_file(tmp_path).read_bytes() == before

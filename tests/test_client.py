@@ -8,7 +8,6 @@ import pytest
 
 from mdpipe import model, sim
 from mdpipe.client import (
-    HarvestFailure,
     HarvestResult,
     HttpTransport,
     OaiClient,
@@ -42,25 +41,6 @@ class ScriptTransport:
         if isinstance(item, BaseException):
             raise item
         return item
-
-
-def _identify_xml(repository_name="<repositoryName>Test</repositoryName>",
-                  earliest="2000-01-01T00:00:00Z",
-                  policy="persistent"):
-    return (
-        '<?xml version="1.0"?>'
-        f'<OAI-PMH xmlns="{model.OAI_NS}">'
-        "<responseDate>2006-01-01T00:00:00Z</responseDate>"
-        f"<request>{BASE}</request><Identify>"
-        f"{repository_name}"
-        f"<baseURL>{BASE}</baseURL>"
-        "<protocolVersion>2.0</protocolVersion>"
-        "<adminEmail>a@b.c</adminEmail>"
-        f"<earliestDatestamp>{earliest}</earliestDatestamp>"
-        f"<deletedRecord>{policy}</deletedRecord>"
-        f"<granularity>{model.GRANULARITY_SECOND}</granularity>"
-        "</Identify></OAI-PMH>"
-    ).encode()
 
 
 def _page_xml(idents, token=None, response_date="2006-01-01T00:00:00Z"):
@@ -135,57 +115,30 @@ def test_transient_errors_retried_with_exponential_backoff():
     client = OaiClient(
         transport=ScriptTransport([
             TransportError("reset"), TransportError("reset"),
-            _identify_xml()]),
-        max_retries=3, backoff_base=30.0, sleep=delays.append)
-    info = client.identify(BASE)
-    assert info.repository_name == "Test"
+            _page_xml(["oai:t:1"])]),
+        sleep=delays.append)
+    result = client.harvest(BASE, "oai_dc")
+    assert result.success
+    assert [r.header.identifier for r in result.records] == ["oai:t:1"]
     assert delays == [30.0, 60.0]
 
 
 def test_retries_exhausted_surfaces_transient_failure():
-    client = _client([TransportError("refused")] * 4)
-    with pytest.raises(HarvestFailure) as exc:
-        client.identify(BASE)
-    assert exc.value.category is FailureCategory.TRANSIENT
+    transport = ScriptTransport([TransportError("refused")] * 4)
+    client = OaiClient(transport=transport, sleep=lambda s: None)
+    result = client.harvest(BASE, "oai_dc")
+    assert not result.success
+    assert result.category is FailureCategory.TRANSIENT
+    assert len(transport.urls) == 4
 
 
 def test_protocol_errors_not_retried():
     transport = ScriptTransport([HttpStatusError(404)])
     client = OaiClient(transport=transport, sleep=lambda s: None)
-    with pytest.raises(HarvestFailure) as exc:
-        client.identify(BASE)
-    assert exc.value.category is FailureCategory.PROTOCOL_VIOLATION
+    result = client.harvest(BASE, "oai_dc")
+    assert not result.success
+    assert result.category is FailureCategory.PROTOCOL_VIOLATION
     assert len(transport.urls) == 1
-
-
-# ---------------------------------------------------------------------------
-# Identify
-
-
-def test_identify_parses_provider_info():
-    info = _client([_identify_xml()]).identify(BASE)
-    assert info.deleted_policy == "persistent"
-    assert info.granularity == "second"
-    assert info.earliest_datestamp == datetime(2000, 1, 1, tzinfo=UTC)
-
-
-def test_identify_missing_required_field_is_protocol_violation():
-    client = _client([_identify_xml(repository_name="")])
-    with pytest.raises(HarvestFailure) as exc:
-        client.identify(BASE)
-    assert exc.value.category is FailureCategory.PROTOCOL_VIOLATION
-
-
-def test_identify_day_granularity_earliest_accepted():
-    info = _client([_identify_xml(earliest="2000-01-01")]).identify(BASE)
-    assert info.earliest_datestamp == datetime(2000, 1, 1, tzinfo=UTC)
-
-
-def test_identify_broken_xml_is_data_format():
-    client = _client([b"<OAI-PMH><unclosed"])
-    with pytest.raises(HarvestFailure) as exc:
-        client.identify(BASE)
-    assert exc.value.category is FailureCategory.DATA_FORMAT
 
 
 # ---------------------------------------------------------------------------

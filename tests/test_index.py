@@ -350,7 +350,8 @@ def test_fetch_content_md5():
 
 def test_fetch_content_too_large():
     with pytest.raises(FetchError) as exc:
-        fetch_content("http://x/", lambda u: b"a" * 2048, max_bytes=1024)
+        fetch_content("http://x/",
+                      lambda u: b"a" * (resource_index.MAX_CONTENT_BYTES + 1))
     assert exc.value.kind == "too-large"
 
 

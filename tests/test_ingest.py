@@ -367,8 +367,8 @@ def test_db_insert_roundtrip():
     assert back.harvest_attempt_id == "attempt-1"
     assert len(back.entries) == 2
     for orig_entry, new_entry in zip(doc.entries, back.entries):
-        assert model.records_equal(orig_entry.original, new_entry.original)
-        assert new_entry.original.raw_xml == orig_entry.original.raw_xml
+        # header, format prefix, elements and the verbatim raw_xml bytes
+        assert new_entry.original == orig_entry.original
         assert new_entry.normalized == orig_entry.normalized
 
 

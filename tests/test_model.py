@@ -18,10 +18,10 @@ from mdpipe.model import (
     DcElement,
     MetadataRecord,
     RecordHeader,
+    format_datestamp,
     parse_datestamp,
     parse_list_response,
     parse_record,
-    serialize_record,
 )
 
 UTC = timezone.utc
@@ -162,6 +162,28 @@ def test_parse_datestamp_near_misses_match_character_walk(text):
     outcome = _outcome(parse_datestamp, text)
     assert outcome == _outcome(model._walk_datestamp, text)
     assert not isinstance(outcome, datetime)
+
+
+# ---------------------------------------------------------------------------
+# format_datestamp
+
+def test_format_datestamp_pads_year_to_four_digits():
+    assert format_datestamp(datetime(999, 1, 1, tzinfo=UTC)) == \
+        "0999-01-01T00:00:00Z"
+
+
+def test_format_datestamp_rejects_naive_datetime():
+    with pytest.raises(ValueError):
+        format_datestamp(datetime(2005, 8, 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(instant=st.datetimes(min_value=datetime(1, 1, 1),
+                            max_value=datetime(9999, 12, 31, 23, 59, 59),
+                            timezones=st.just(UTC)))
+def test_format_datestamp_round_trips_through_parse(instant):
+    instant = instant.replace(microsecond=0)
+    assert parse_datestamp(format_datestamp(instant)) == instant
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +329,25 @@ def test_native_format_payload_kept_unparsed():
 
 
 # ---------------------------------------------------------------------------
-# serialize_record
+# Record serialization round trip
+
+def _record_bytes(rec):
+    """A standalone OAI <record>, assembled from the header and DC payload
+    serializers."""
+    metadata = b"" if rec.header.deleted else (
+        b"<metadata>"
+        + model.serialize_dc_payload(rec.format_prefix, rec.elements)
+        + b"</metadata>")
+    return (f'<record xmlns="{model.OAI_NS}">'.encode()
+            + model.serialize_header(rec.header).encode()
+            + metadata + b"</record>")
+
+
+def _assert_same_record(back, rec):
+    assert back.header == rec.header
+    assert back.format_prefix == rec.format_prefix
+    assert back.elements == rec.elements
+
 
 def _header(ident="oai:x:1", deleted=False):
     return RecordHeader(
@@ -322,15 +362,16 @@ def test_serialize_escapes_ampersand():
     rec = MetadataRecord(
         header=_header(), format_prefix="oai_dc",
         elements=(DcElement("title", "A & B"),))
-    out = serialize_record(rec)
+    out = _record_bytes(rec)
     assert b"A &amp; B" in out
 
 
 def test_serialize_deleted_record_header_only():
     rec = MetadataRecord(header=_header(deleted=True), format_prefix="oai_dc")
-    out = serialize_record(rec)
+    out = _record_bytes(rec)
     assert b'status="deleted"' in out
     assert b"<metadata>" not in out
+    _assert_same_record(parse_record(out), rec)
 
 
 def test_roundtrip_three_element_qualified_record():
@@ -343,8 +384,8 @@ def test_roundtrip_three_element_qualified_record():
             DcElement("description", "D", qualifier="abstract"),
         ),
     )
-    back = parse_record(serialize_record(rec), format_prefix="nsdl_dc")
-    assert model.records_equal(rec, back)
+    back = parse_record(_record_bytes(rec), format_prefix="nsdl_dc")
+    _assert_same_record(back, rec)
 
 
 _text = st.text(
@@ -380,8 +421,8 @@ def test_roundtrip_property(ident, stamp, sets, elements, prefix):
         set_specs=tuple(sets))
     rec = MetadataRecord(header=header, format_prefix=prefix,
                          elements=tuple(elements))
-    back = parse_record(serialize_record(rec), format_prefix=prefix)
-    assert model.records_equal(rec, back)
+    back = parse_record(_record_bytes(rec), format_prefix=prefix)
+    _assert_same_record(back, rec)
 
 
 def test_utf8_strictness_matches_reference_validator():

@@ -178,10 +178,6 @@ def test_schedule_due_excludes_running_and_recent(registry, repo):
         PassingReport(), repo, T0)
     assert set(registry.schedule_due(T0)) == {"coll-1", "coll-2"}
 
-    mode = registry.begin("coll-1")
-    assert mode == "full"
-    assert registry.schedule_due(T0) == ["coll-2"]
-
     registry.record_attempt(_attempt(at=T0, mode="full", through=T0))
     assert registry.schedule_due(T0 + timedelta(hours=1)) == ["coll-2"]
     assert set(registry.schedule_due(T0 + timedelta(days=1))) == \

@@ -185,28 +185,13 @@ def test_concurrent_insert_never_lands_partially(repo):
         assert n_items in (0, 200)
 
 
-def test_query_elements_min_uri_count():
-    r = Repository()
-    r.register_collection_record("coll-1", (DcElement("title", "C"),), T0)
-    pairs = []
-    for i in range(10):
-        els = [DcElement("title", f"t{i}"),
-               DcElement("identifier", f"http://e/{i}", scheme="URI")]
-        if i < 2:
-            els.append(DcElement("identifier", f"http://e/alt/{i}", scheme="URI"))
-        rec = _record(f"oai:x:{i}", els)
-        pairs.append((rec, safe_transform(rec, CFG)))
-    r.insert(build_db_insert(pairs, "coll-1", "a"), now=T0)
-    # oracle: linear scan
-    assert r.count_records_with_min_uris(2) == 2
-    assert r.count_records_with_min_uris(1) == 10
-    assert Repository().count_records_with_min_uris(1) == 0
-
-
 def test_list_uri_identifiers_match_scrubbed(repo):
-    repo.insert(_doc([("oai:x:1", "t1"), ("oai:x:2", "t2"), ("oai:x:3", "t3")]),
-                now=T0)
-    uris = repo.list_uri_identifiers()
+    ids = repo.insert(
+        _doc([("oai:x:1", "t1"), ("oai:x:2", "t2"), ("oai:x:3", "t3")]),
+        now=T0)
+    uris = [row.value for repo_id in ids
+            for row in repo.get(repo_id).normalized_rows
+            if row.name == "identifier" and row.scheme == "URI"]
     assert sorted(uris) == ["http://example.org/t1", "http://example.org/t2",
                             "http://example.org/t3"]
 
@@ -239,6 +224,20 @@ def test_save_load_roundtrip(tmp_path, repo):
     s1 = repo.publish(now=T0)
     s2 = loaded.publish(now=T0)
     assert s1.manifest.checksum == s2.manifest.checksum
+
+
+def test_save_load_keeps_a_year_below_1000(tmp_path, repo):
+    rec = _record("oai:x:old", [DcElement("title", "Old")])
+    rec = dataclasses.replace(rec, header=dataclasses.replace(
+        rec.header, datestamp=model.parse_datestamp("0999-01-01T00:00:00Z")))
+    ids = repo.insert(build_db_insert([(rec, safe_transform(rec, CFG))],
+                                      "coll-1", "a"), now=T0)
+    path = tmp_path / "staging.json"
+    repo.save(path)
+    loaded = Repository.load(path)
+    assert loaded.get(ids[0]).provider_datestamp == \
+        datetime(999, 1, 1, tzinfo=UTC)
+    assert loaded.get(ids[0]) == repo.get(ids[0])
 
 
 def _b64(raw: bytes) -> str:

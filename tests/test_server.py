@@ -215,7 +215,7 @@ def test_set_filter_restricts_to_collection(server):
         "coll-2", (DcElement("title", "Two"),), T0 - timedelta(days=30))
     server.test_repo.insert(_doc(3, collection="coll-2", start=100),
                             now=T0 - timedelta(days=1))
-    server.set_snapshot(server.test_repo.publish(now=T0))
+    server.snapshot = server.test_repo.publish(now=T0)
     resp = server.handle_request(
         "ListRecords", {"metadataPrefix": "oai_dc", "set": "coll-2"})
     page = model.parse_list_response(resp, "oai_dc")
@@ -239,7 +239,7 @@ def test_empty_window_is_no_records_match(server):
 def test_future_datestamps_hidden_until_due(server):
     # inserted now -> served_datestamp = now + 3h, invisible until then
     server.test_repo.insert(_doc(1, start=500), now=T0)
-    server.set_snapshot(server.test_repo.publish(now=T0))
+    server.snapshot = server.test_repo.publish(now=T0)
     resp = server.handle_request("ListRecords", {"metadataPrefix": "oai_dc"})
     page = model.parse_list_response(resp, "oai_dc")
     assert page.token.complete_list_size == 26
@@ -258,7 +258,7 @@ def test_window_contents_stable_once_past(server):
               "until": "2006-02-28T23:59:59Z"}
     before = server.handle_request("ListRecords", dict(window), now=T0)
     server.test_repo.insert(_doc(5, start=600), now=T0)
-    server.set_snapshot(server.test_repo.publish(now=T0))
+    server.snapshot = server.test_repo.publish(now=T0)
     after = server.handle_request("ListRecords", dict(window), now=T0)
     ids = lambda resp: sorted(
         r.header.identifier
@@ -300,7 +300,7 @@ def test_publish_invalidates_outstanding_tokens(server):
     resp = server.handle_request("ListRecords", {"metadataPrefix": "oai_dc"})
     token = model.parse_list_response(resp, "oai_dc").token.token
     server.test_repo.insert(_doc(1, start=700), now=T0)
-    server.set_snapshot(server.test_repo.publish(now=T0 + timedelta(seconds=1)))
+    server.snapshot = server.test_repo.publish(now=T0 + timedelta(seconds=1))
     resp = server.handle_request("ListRecords", {"resumptionToken": token})
     assert _error_code(resp) == "badResumptionToken"
 
@@ -447,7 +447,7 @@ class _CountingRecords(tuple):
 
 def test_pages_after_the_first_request_do_not_rescan_records(server):
     records = _CountingRecords(server.snapshot.records)
-    server.set_snapshot(replace(server.snapshot, records=records))
+    server.snapshot = replace(server.snapshot, records=records)
     resp = server.handle_request("ListRecords", {"metadataPrefix": "oai_dc"})
     built = records.iterations
     assert built > 0

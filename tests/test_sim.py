@@ -5,9 +5,9 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from mdpipe import sim
+from mdpipe import model, sim
 from mdpipe.client import OaiClient
-from mdpipe.errors import FailureCategory, TimeRegression
+from mdpipe.errors import FailureCategory, SchemaViolation, TimeRegression
 from mdpipe.model import DcElement
 from mdpipe.sim import (
     FaultSpec,
@@ -32,6 +32,10 @@ def _provider(scenario, now=NOW):
 
 def _client(provider):
     return OaiClient(transport=SimTransport(provider), sleep=lambda s: None)
+
+
+def _identify(provider):
+    return SimTransport(provider).get(f"{BASE}?verb=Identify")
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +79,10 @@ def test_windowed_harvest_matches_ground_truth_window():
 
 def test_identify_reflects_scenario():
     prov = _provider(make_scenario(5, deleted_policy="no"))
-    info = _client(prov).identify(BASE)
+    info = model.parse_identify(_identify(prov))
     assert info.deleted_policy == "no"
-    assert info.earliest_datestamp == START
-    assert info.granularity == "second"
+    assert model.parse_datestamp(info.earliest_datestamp) == START
+    assert info.granularity == model.GRANULARITY_SECOND
 
 
 def test_clock_never_goes_backwards():
@@ -173,11 +177,12 @@ def test_broken_token_is_protocol_violation():
 
 
 def test_identify_missing_field_is_protocol_violation():
+    # no harvest sends Identify: the validator's identify-well-formed
+    # check is where this fault is diagnosed (tests/test_validator.py)
     prov = _provider(make_scenario(
         5, faults=(FaultSpec("IdentifyMissingField"),)))
-    with pytest.raises(Exception) as exc:
-        _client(prov).identify(BASE)
-    assert exc.value.category is FailureCategory.PROTOCOL_VIOLATION
+    with pytest.raises(SchemaViolation, match="repositoryName"):
+        model.parse_identify(_identify(prov))
 
 
 def test_non_idempotent_window_drops_record_on_repeat():

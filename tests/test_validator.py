@@ -14,7 +14,7 @@ from mdpipe.sim import (
     TimelineEvent,
     make_scenario,
 )
-from mdpipe.validator import CHECK_IDS, validate_provider
+from mdpipe.validator import CHECK_IDS, WARNING, validate_provider
 
 UTC = timezone.utc
 BASE = "http://sim.invalid/oai"
@@ -120,7 +120,8 @@ def test_bad_identifier_fails_identifier_encoding():
 def test_verdict_fails_only_on_error_severity():
     report = _report(make_scenario(25))
     assert report.passed
-    assert report.warnings() == ()
+    assert not [c for c in report.checks
+                if not c.passed and c.severity == WARNING]
 
 
 def test_to_dict_round_trips_fields():
