@@ -45,9 +45,12 @@ def load_config(path: str | None) -> dict:
     candidate = path or os.environ.get("MDPIPE_CONFIG")
     if candidate:
         try:
-            config.update(json.loads(Path(candidate).read_text()))
+            loaded = json.loads(Path(candidate).read_text())
         except (OSError, ValueError) as exc:
             raise SystemExit(f"cannot read config {candidate}: {exc}")
+        if not isinstance(loaded, dict):
+            raise SystemExit(f"config {candidate} is not a JSON object")
+        config.update(loaded)
     return config
 
 
@@ -91,13 +94,17 @@ class State:
             self._repository.save(self.repository_path)
 
 
-def _parse_at(value: str | None) -> datetime:
-    if value is None:
-        return datetime.now(timezone.utc).replace(microsecond=0)
+def _parse_datestamp(value: str, option: str) -> datetime:
     try:
         return model.parse_datestamp(value)
     except ValueError as exc:
-        raise SystemExit(f"bad --at value: {exc}")
+        raise SystemExit(f"bad {option} value: {exc}")
+
+
+def _parse_at(value: str | None) -> datetime:
+    if value is None:
+        return datetime.now(timezone.utc).replace(microsecond=0)
+    return _parse_datestamp(value, "--at")
 
 
 def _positive_int(value: str) -> int:
@@ -230,8 +237,8 @@ def cmd_pipeline(args, state: State) -> int:
 
 
 def cmd_stats(args, state: State) -> int:
-    since = model.parse_datestamp(args.since) if args.since else None
-    until = model.parse_datestamp(args.until) if args.until else None
+    since = _parse_datestamp(args.since, "--since") if args.since else None
+    until = _parse_datestamp(args.until, "--until") if args.until else None
     stats = state.registry.stats(since=since, until=until)
     lines = [f"attempts: {stats['attempts']} "
              f"(ok {stats['successes']}, failed {stats['failures']})"]

@@ -511,33 +511,56 @@ def parse_dc_payload(payload: bytes, format_prefix: str) -> tuple[DcElement, ...
     return tuple(elements)
 
 
+#: the open and close tags of the two DC containers, rendered once
+OAI_DC_OPEN = (f"<oai_dc:dc xmlns:oai_dc={quoteattr(OAI_DC_NS)}"
+               f" xmlns:dc={quoteattr(DC_NS)}>")
+OAI_DC_CLOSE = "</oai_dc:dc>"
+NSDL_DC_OPEN = (f"<qdc:dc xmlns:qdc={quoteattr(QDC_NS)}"
+                f" xmlns:dc={quoteattr(DC_NS)}>")
+NSDL_DC_CLOSE = "</qdc:dc>"
+
+
+def _quoteattr(text: str) -> str:
+    """``xml.sax.saxutils.quoteattr`` without its per-call entity table:
+    ``& < >`` and ``\\n \\r \\t`` escaped, then quoted with ``"``, or with
+    ``'`` when the text holds ``"`` but no ``'``."""
+    text = (escape(text).replace("\n", "&#10;").replace("\r", "&#13;")
+            .replace("\t", "&#9;"))
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
+def dc_element_xml(el: DcElement) -> tuple[str, str]:
+    """The element as ``<dc:NAME ...>VALUE</dc:NAME>`` in two forms: with
+    its ``qualifier``, ``scheme`` and ``xml:lang`` attributes, in that
+    order, and with ``xml:lang`` alone, the dumbed-down form that ``oai_dc``
+    exports. The value and each attribute are escaped once; an element with
+    neither qualifier nor scheme returns one string as both forms."""
+    name = el.name
+    tail = f">{escape(el.value)}</dc:{name}>"
+    lang = f" xml:lang={_quoteattr(el.language)}" if el.language else ""
+    plain = f"<dc:{name}{lang}{tail}"
+    if not (el.qualifier or el.scheme):
+        return plain, plain
+    attrs = f" qualifier={_quoteattr(el.qualifier)}" if el.qualifier else ""
+    if el.scheme:
+        attrs += f" scheme={_quoteattr(el.scheme)}"
+    return f"<dc:{name}{attrs}{lang}{tail}", plain
+
+
 def serialize_dc_payload(format_prefix: str,
                          elements: tuple[DcElement, ...]) -> bytes:
-    """Serialize elements into the container for the given DC profile."""
+    """Serialize elements, with all their attributes, into the container
+    for the given DC profile."""
     if format_prefix == "oai_dc":
-        open_tag = (
-            f'<oai_dc:dc xmlns:oai_dc={quoteattr(OAI_DC_NS)}'
-            f' xmlns:dc={quoteattr(DC_NS)}>'
-        )
-        close_tag = "</oai_dc:dc>"
+        open_tag, close_tag = OAI_DC_OPEN, OAI_DC_CLOSE
     else:
-        open_tag = (
-            f'<qdc:dc xmlns:qdc={quoteattr(QDC_NS)}'
-            f' xmlns:dc={quoteattr(DC_NS)}>'
-        )
-        close_tag = "</qdc:dc>"
-    parts = [open_tag]
-    for el in elements:
-        attrs = ""
-        if el.qualifier:
-            attrs += f" qualifier={quoteattr(el.qualifier)}"
-        if el.scheme:
-            attrs += f" scheme={quoteattr(el.scheme)}"
-        if el.language:
-            attrs += f" xml:lang={quoteattr(el.language)}"
-        parts.append(f"<dc:{el.name}{attrs}>{escape(el.value)}</dc:{el.name}>")
-    parts.append(close_tag)
-    return "".join(parts).encode("utf-8")
+        open_tag, close_tag = NSDL_DC_OPEN, NSDL_DC_CLOSE
+    body = "".join([dc_element_xml(el)[0] for el in elements])
+    return f"{open_tag}{body}{close_tag}".encode("utf-8")
 
 
 def serialize_header(header: RecordHeader) -> str:

@@ -10,7 +10,10 @@ Each record's five export payloads are a pure function of its normalized
 elements, its original bytes, ``native_public`` and its collection's repo
 id. They are built eagerly in memory at insert, and again by ``load``, but
 never persisted: the state file (``version`` 2) holds only what they are
-derived from. ``save`` replaces the file atomically (temp file, fsync,
+derived from. All five come from one pass over the normalized elements:
+each element is rendered and escaped once, in its qualified ``nsdl_dc`` form
+and its dumbed-down ``oai_dc`` form, and the search and full-dump bundles
+share one prefix; the namespace markup is rendered once per process. ``save`` replaces the file atomically (temp file, fsync,
 ``os.replace``), and ``load`` upgrades a version 1 file, which carried the
 exports as base64 and a ``position`` per element row.
 
@@ -173,58 +176,56 @@ class ServingSnapshot:
 # ---------------------------------------------------------------------------
 # Export payload generation
 
-def dumb_down(elements: tuple[DcElement, ...]) -> tuple[DcElement, ...]:
-    """Erase qualifiers and encoding schemes; values stay byte-identical."""
-    return tuple(
-        DcElement(name=el.name, value=el.value, language=el.language)
-        for el in elements
-    )
+# constant markup, rendered once
+_LINKS_EMPTY = f"<links xmlns={quoteattr(LINKS_NS)}/>".encode()
+_LINKS_OPEN = f"<links xmlns={quoteattr(LINKS_NS)}><memberOf>"
+_SEARCH_OPEN = f"<search xmlns={quoteattr(SEARCH_NS)}><nsdl_dc>".encode()
 
 
-def build_links(record: StoredRecord,
+def build_links(is_collection: bool, collection_id: str,
                 collection_repo_id: str | None) -> bytes:
     """Membership payload: exactly one item-to-collection relation.
 
     Collection-description records emit no relation (no self-membership).
     """
-    if record.is_collection:
-        return f"<links xmlns={quoteattr(LINKS_NS)}/>".encode()
+    if is_collection:
+        return _LINKS_EMPTY
     if collection_repo_id is None:
-        raise MissingCollectionRecord(record.collection_id)
-    return (
-        f"<links xmlns={quoteattr(LINKS_NS)}>"
-        f"<memberOf>{escape(collection_repo_id)}</memberOf></links>"
-    ).encode()
+        raise MissingCollectionRecord(collection_id)
+    return (f"{_LINKS_OPEN}{escape(collection_repo_id)}</memberOf></links>"
+            .encode())
 
 
-def _build_exports(record: StoredRecord,
-                   collection_repo_id: str | None) -> dict[str, bytes]:
-    elements = record.normalized_rows
-    nsdl_dc = model.serialize_dc_payload("nsdl_dc", elements)
-    oai_dc = model.serialize_dc_payload("oai_dc", dumb_down(elements))
-    links = build_links(record, collection_repo_id)
-
-    def combined(include_native: bool) -> bytes:
-        parts = [f"<search xmlns={quoteattr(SEARCH_NS)}>".encode()]
-        parts.append(b"<nsdl_dc>" + nsdl_dc + b"</nsdl_dc>")
-        parts.append(b"<oai_dc>" + oai_dc + b"</oai_dc>")
-        parts.append(b"<links>" + links + b"</links>")
-        if include_native and record.original_raw:
-            parts.append(
-                f"<native format={quoteattr(record.original_format)}>".encode()
-                + record.original_raw + b"</native>")
-        parts.append(b"</search>")
-        return b"".join(parts)
-
-    search = combined(include_native=True)
+def _build_exports(rows: tuple[DcElement, ...], original_raw: bytes,
+                   original_format: str, native_public: bool,
+                   links: bytes) -> dict[str, bytes]:
+    """All five export payloads, from one pass over the normalized rows:
+    ``nsdl_dc`` and ``oai_dc`` take each element's two forms from one
+    rendering, and both search bundles share one prefix."""
+    nsdl, oai = [model.NSDL_DC_OPEN], [model.OAI_DC_OPEN]
+    for el in rows:
+        qualified, plain = model.dc_element_xml(el)
+        nsdl.append(qualified)
+        oai.append(plain)
+    nsdl.append(model.NSDL_DC_CLOSE)
+    oai.append(model.OAI_DC_CLOSE)
+    nsdl_dc = "".join(nsdl).encode()
+    oai_dc = "".join(oai).encode()
+    shared = b"".join((_SEARCH_OPEN, nsdl_dc, b"</nsdl_dc><oai_dc>", oai_dc,
+                       b"</oai_dc><links>", links, b"</links>"))
+    if original_raw:
+        search = b"".join((
+            shared, f"<native format={quoteattr(original_format)}>".encode(),
+            original_raw, b"</native></search>"))
+    else:
+        search = shared + b"</search>"
     return {
         "nsdl_dc": nsdl_dc,
         "oai_dc": oai_dc,
         "nsdl_links": links,
         "nsdl_search": search,
         # with public natives the full dump is the search bundle: share it
-        "nsdl_all": search if record.native_public
-        else combined(include_native=False),
+        "nsdl_all": search if native_public else shared + b"</search>",
     }
 
 
@@ -259,19 +260,22 @@ class Repository:
         membership links for every item in the collection."""
         with self._lock:
             repo_id = f"oai:{self.domain}:collections/{collection_id}"
-            record = StoredRecord(
+            rows = tuple(elements)
+            raw = model.serialize_dc_payload("nsdl_dc", rows)
+            self._records[repo_id] = StoredRecord(
                 repo_identifier=repo_id,
                 collection_id=collection_id,
                 source_identifier=repo_id,
-                original_raw=model.serialize_dc_payload("nsdl_dc", elements),
+                original_raw=raw,
                 original_format="nsdl_dc",
                 provider_datestamp=now,
-                normalized_rows=tuple(elements),
+                normalized_rows=rows,
                 served_datestamp=now + self.postdate_offset,
                 is_collection=True,
+                exports=_build_exports(
+                    rows, raw, "nsdl_dc", True,
+                    build_links(True, collection_id, None)),
             )
-            record = replace(record, exports=_build_exports(record, None))
-            self._records[repo_id] = record
             self._by_source[(collection_id, repo_id)] = repo_id
             self._collections[collection_id] = repo_id
             return repo_id
@@ -283,27 +287,30 @@ class Repository:
         with self._lock:
             if doc.collection_id not in self._collections:
                 raise UnknownCollection(doc.collection_id)
-            coll_repo_id = self._collections[doc.collection_id]
+            links = build_links(False, doc.collection_id,
+                                self._collections[doc.collection_id])
             minted = []
             for entry in doc.entries:
-                source_id = entry.original.header.identifier
+                original = entry.original
+                source_id = original.header.identifier
                 repo_id = self.mint_identifier(doc.collection_id, source_id)
                 violations = ingest.validate_normalized(entry.normalized)
-                record = StoredRecord(
+                rows = tuple(entry.normalized.elements)
+                self._records[repo_id] = StoredRecord(
                     repo_identifier=repo_id,
                     collection_id=doc.collection_id,
                     source_identifier=source_id,
-                    original_raw=entry.original.raw_xml,
-                    original_format=entry.original.format_prefix,
-                    provider_datestamp=entry.original.header.datestamp,
-                    normalized_rows=tuple(entry.normalized.elements),
+                    original_raw=original.raw_xml,
+                    original_format=original.format_prefix,
+                    provider_datestamp=original.header.datestamp,
+                    normalized_rows=rows,
                     served_datestamp=now + self.postdate_offset,
                     native_public=native_public,
                     schema_warning=bool(violations),
+                    exports=_build_exports(
+                        rows, original.raw_xml, original.format_prefix,
+                        native_public, links),
                 )
-                record = replace(record,
-                                 exports=_build_exports(record, coll_repo_id))
-                self._records[repo_id] = record
                 self._by_source[(doc.collection_id, source_id)] = repo_id
                 minted.append(repo_id)
             return minted
@@ -420,15 +427,8 @@ class Repository:
                        seconds=state["postdate_offset_seconds"]))
         repo._collections = dict(state["collections"])
         for rec_json in state["records"]:
-            record = _record_from_json(rec_json, elements_of(rec_json["rows"]))
-            if record.deleted:
-                exports = {}
-            elif record.is_collection:
-                exports = _build_exports(record, None)
-            else:
-                exports = _build_exports(
-                    record, repo._collections.get(record.collection_id))
-            record = replace(record, exports=exports)
+            record = _record_from_json(rec_json, elements_of(rec_json["rows"]),
+                                       repo._collections)
             repo._records[record.repo_identifier] = record
             repo._by_source[(record.collection_id,
                              record.source_identifier)] = record.repo_identifier
@@ -468,13 +468,24 @@ def _elements_v1(rows: list) -> tuple[DcElement, ...]:
             rows, key=lambda row: row[5]))
 
 
-def _record_from_json(d: dict,
-                      elements: tuple[DcElement, ...]) -> StoredRecord:
+def _record_from_json(d: dict, elements: tuple[DcElement, ...],
+                      collections: dict[str, str]) -> StoredRecord:
+    """The stored record, with its exports rebuilt unless it is deleted;
+    ``collections`` maps each collection id to its record's identifier."""
+    raw = base64.b64decode(d["original_raw"])
+    if d["deleted"]:
+        exports = {}
+    else:
+        collection_id = d["collection_id"]
+        exports = _build_exports(
+            elements, raw, d["original_format"], d["native_public"],
+            build_links(d["is_collection"], collection_id,
+                        collections.get(collection_id)))
     return StoredRecord(
         repo_identifier=d["repo_identifier"],
         collection_id=d["collection_id"],
         source_identifier=d["source_identifier"],
-        original_raw=base64.b64decode(d["original_raw"]),
+        original_raw=raw,
         original_format=d["original_format"],
         provider_datestamp=model.parse_datestamp(d["provider_datestamp"]),
         normalized_rows=elements,
@@ -483,4 +494,5 @@ def _record_from_json(d: dict,
         native_public=d["native_public"],
         is_collection=d["is_collection"],
         schema_warning=d["schema_warning"],
+        exports=exports,
     )

@@ -163,6 +163,20 @@ def test_bad_config_path_exit_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", "3", '"state"', "null"])
+def test_config_not_a_json_object_exit_two(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_text(content)
+    assert main(["--config", str(path), "stats"]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--since", "--until"])
+def test_stats_bad_window_datestamp_exit_two(env, capsys, option):
+    assert _run(env, "stats", option, "2006-13-01T00:00:00Z") == 2
+    assert f"bad {option} value" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # ingest
 

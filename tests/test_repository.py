@@ -1,16 +1,21 @@
 import base64
 import dataclasses
+import hashlib
 import json
+import tempfile
 import threading
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdpipe import ingest, model, repository
 from mdpipe.errors import UnknownCollection, UnknownIdentifier
 from mdpipe.ingest import TransformConfig, build_db_insert, safe_transform
 from mdpipe.model import DcElement, MetadataRecord, RecordHeader
-from mdpipe.repository import Repository, dumb_down
+from mdpipe.repository import Repository
 
 UTC = timezone.utc
 CFG = TransformConfig.default()
@@ -62,35 +67,233 @@ def test_insert_unknown_collection():
         r.insert(_doc([("oai:x:1", "t")], collection="nope"), now=T0)
 
 
-def test_dumb_down_erases_qualifiers_and_schemes():
-    els = (DcElement("identifier", "http://x/y", scheme="URI"),
-           DcElement("description", "D", qualifier="abstract"))
-    out = dumb_down(els)
-    assert out[0] == DcElement("identifier", "http://x/y")
-    assert out[1] == DcElement("description", "D")
+def _insert_rows(repo, rows, native_public=True, raw=None,
+                 original_format="oai_dc", source="oai:x:1",
+                 collection="coll-1"):
+    """Store ``rows`` as the record's normalized elements, as they are:
+    no transform runs. ``raw`` defaults to the rows' own oai_dc payload."""
+    rows = tuple(rows)
+    if raw is None:
+        raw = model.serialize_dc_payload("oai_dc", rows)
+    original = MetadataRecord(
+        header=RecordHeader(identifier=source, datestamp=T0),
+        format_prefix=original_format, elements=rows, raw_xml=raw)
+    doc = ingest.DbInsertDocument(
+        entries=(ingest.DbInsertEntry(
+            original, ingest.NormalizedRecord(source, rows)),),
+        collection_id=collection, harvest_attempt_id="a")
+    [repo_id] = repo.insert(doc, now=T0, native_public=native_public)
+    return repo.get(repo_id)
 
 
-def test_dumb_down_fixed_point_on_unqualified():
-    els = (DcElement("title", "T"), DcElement("subject", "s"))
-    assert dumb_down(els) == els
+def _dc_body(payload: bytes) -> bytes:
+    """The elements of a DC payload, without its container tags."""
+    return payload[payload.index(b">") + 1:payload.rindex(b"</")]
 
 
-def test_dumb_down_preserves_values_and_order():
-    els = tuple(DcElement("subject", f"v{i}", qualifier="audience")
-                for i in range(6))
-    out = dumb_down(els)
-    assert len(out) == 6
-    assert [e.value for e in out] == [e.value for e in els]
+def test_oai_dc_export_erases_qualifiers_and_schemes(repo):
+    rec = _insert_rows(repo, (
+        DcElement("identifier", "http://x/y", scheme="URI"),
+        DcElement("description", "D", qualifier="abstract")))
+    assert model.parse_dc_payload(rec.exports["oai_dc"], "oai_dc") == (
+        DcElement("identifier", "http://x/y"), DcElement("description", "D"))
+    assert model.parse_dc_payload(rec.exports["nsdl_dc"], "nsdl_dc") == \
+        rec.normalized_rows
+
+
+def test_unqualified_elements_render_alike_in_both_exports(repo):
+    rows = (DcElement("title", "T"), DcElement("subject", "s", language="en"))
+    rec = _insert_rows(repo, rows)
+    assert _dc_body(rec.exports["oai_dc"]) == _dc_body(rec.exports["nsdl_dc"])
+    assert model.parse_dc_payload(rec.exports["oai_dc"], "oai_dc") == rows
+
+
+def test_oai_dc_export_keeps_values_order_and_language(repo):
+    rows = tuple(DcElement("subject", f"v{i}", qualifier="audience",
+                           scheme="LCSH", language=f"l{i}")
+                 for i in range(6))
+    rec = _insert_rows(repo, rows)
+    assert model.parse_dc_payload(rec.exports["oai_dc"], "oai_dc") == tuple(
+        DcElement("subject", f"v{i}", language=f"l{i}") for i in range(6))
 
 
 def test_export_formats_present_and_coherent(repo):
     ids = repo.insert(_doc([("oai:x:1", "t1")]), now=T0)
     rec = repo.get(ids[0])
     assert set(rec.exports) == set(repository.EXPORT_FORMATS)
-    # format coherence: oai_dc equals dumb_down of nsdl_dc
+    # format coherence: oai_dc is nsdl_dc without qualifiers and schemes
     nsdl_elements = model.parse_dc_payload(rec.exports["nsdl_dc"], "nsdl_dc")
     oai_elements = model.parse_dc_payload(rec.exports["oai_dc"], "oai_dc")
-    assert dumb_down(nsdl_elements) == oai_elements
+    assert tuple(DcElement(el.name, el.value, language=el.language)
+                 for el in nsdl_elements) == oai_elements
+
+
+# ---------------------------------------------------------------------------
+# exports against the formula they replaced
+
+def _reference_dc_payload(format_prefix, elements):
+    """DC serialization with ``xml.sax.saxutils``, one element at a time."""
+    if format_prefix == "oai_dc":
+        parts = [f"<oai_dc:dc xmlns:oai_dc={quoteattr(model.OAI_DC_NS)}"
+                 f" xmlns:dc={quoteattr(model.DC_NS)}>"]
+        close_tag = "</oai_dc:dc>"
+    else:
+        parts = [f"<qdc:dc xmlns:qdc={quoteattr(model.QDC_NS)}"
+                 f" xmlns:dc={quoteattr(model.DC_NS)}>"]
+        close_tag = "</qdc:dc>"
+    for el in elements:
+        attrs = ""
+        if el.qualifier:
+            attrs += f" qualifier={quoteattr(el.qualifier)}"
+        if el.scheme:
+            attrs += f" scheme={quoteattr(el.scheme)}"
+        if el.language:
+            attrs += f" xml:lang={quoteattr(el.language)}"
+        parts.append(f"<dc:{el.name}{attrs}>{escape(el.value)}</dc:{el.name}>")
+    parts.append(close_tag)
+    return "".join(parts).encode("utf-8")
+
+
+def _reference_exports(rows, raw, original_format, native_public,
+                       collection_repo_id):
+    """The five exports as two DC serializations, the second of rows
+    stripped of qualifiers and schemes, and a search bundle built twice."""
+    nsdl_dc = _reference_dc_payload("nsdl_dc", rows)
+    oai_dc = _reference_dc_payload("oai_dc", tuple(
+        DcElement(name=el.name, value=el.value, language=el.language)
+        for el in rows))
+    if collection_repo_id is None:
+        links = f"<links xmlns={quoteattr(repository.LINKS_NS)}/>".encode()
+    else:
+        links = (f"<links xmlns={quoteattr(repository.LINKS_NS)}>"
+                 f"<memberOf>{escape(collection_repo_id)}</memberOf></links>"
+                 ).encode()
+
+    def combined(include_native):
+        parts = [f"<search xmlns={quoteattr(repository.SEARCH_NS)}>".encode(),
+                 b"<nsdl_dc>" + nsdl_dc + b"</nsdl_dc>",
+                 b"<oai_dc>" + oai_dc + b"</oai_dc>",
+                 b"<links>" + links + b"</links>"]
+        if include_native and raw:
+            parts.append(f"<native format={quoteattr(original_format)}>"
+                         .encode() + raw + b"</native>")
+        parts.append(b"</search>")
+        return b"".join(parts)
+
+    return {"nsdl_dc": nsdl_dc, "oai_dc": oai_dc, "nsdl_links": links,
+            "nsdl_search": combined(True),
+            "nsdl_all": combined(native_public)}
+
+
+# markup characters, both quote kinds, \n \r \t, non-ASCII and the empty
+# string, in values and in attributes
+_TEXT = st.text(
+    alphabet=st.sampled_from("a Z0&<>\"';=\n\r\t\u00e9\u6f22\U0001f600")
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=10)
+_ATTRIBUTE = st.none() | st.just("") | _TEXT
+_ELEMENTS = st.lists(
+    st.builds(DcElement, name=st.sampled_from(sorted(model.DC_ELEMENTS)),
+              value=_TEXT, qualifier=_ATTRIBUTE, scheme=_ATTRIBUTE,
+              language=_ATTRIBUTE),
+    max_size=5).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_ELEMENTS, collection_rows=_ELEMENTS, collection_id=_TEXT,
+       raw=st.binary(max_size=6), original_format=_TEXT,
+       native_public=st.booleans())
+def test_exports_match_the_reference_formula(rows, collection_rows,
+                                             collection_id, raw,
+                                             original_format, native_public):
+    repo = Repository()
+    coll_repo_id = repo.register_collection_record(
+        collection_id, collection_rows, T0)
+    item = _insert_rows(repo, rows, native_public=native_public, raw=raw,
+                        original_format=original_format,
+                        collection=collection_id)
+    coll = repo.get(coll_repo_id)
+    assert coll.original_raw == _reference_dc_payload("nsdl_dc",
+                                                      collection_rows)
+    expected = {
+        coll_repo_id: _reference_exports(collection_rows, coll.original_raw,
+                                         "nsdl_dc", True, None),
+        item.repo_identifier: _reference_exports(
+            rows, raw, original_format, native_public, coll_repo_id),
+    }
+    for prefix in ("oai_dc", "nsdl_dc"):
+        assert model.serialize_dc_payload(prefix, rows) == \
+            _reference_dc_payload(prefix, rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "repository.json"
+        repo.save(path)
+        loaded = Repository.load(path)
+    for built in (repo, loaded):
+        for repo_id, exports in expected.items():
+            rec = built.get(repo_id)
+            assert rec.exports == exports
+            assert (rec.exports["nsdl_all"] is rec.exports["nsdl_search"]) \
+                == rec.native_public
+
+
+# a fixed adversarial record set: markup and both quote kinds in values and
+# attributes, \n \r \t in attributes, non-ASCII, empty qualifiers and
+# languages, public and private natives, an empty native, and a collection
+# whose identifier every membership link escapes
+_PINNED_COLLECTION = "c&<\"'>"
+_PINNED_RECORDS = [
+    ((DcElement("title", "Tom & Jerry <b>\"q\" 's'</b>", language="en"),
+      DcElement("identifier", "http://e.org/?a=1&b=<2>", scheme="URI"),
+      DcElement("description", "line\nbreak\r\ttab \u00e9 \u6f22 \U0001f600",
+                qualifier="abstract", language='x"y'),
+      DcElement("subject", "s", qualifier="", scheme="a'b\"c"),
+      DcElement("date", "2006", qualifier="created\n\r\t",
+                scheme="W3CDTF", language="it's"),
+      DcElement("rights", "", language="")),
+     b"<raw a='&amp;'>\xc3\xa9</raw>", "oai_dc", True),
+    ((DcElement("coverage", "&amp; already escaped", qualifier="spatial"),
+      DcElement("creator", "'\"'", qualifier="\"'\"", scheme="\t")),
+     b"<native/>", 'fo"r\'mat\n', False),
+    ((), b"", "nsdl_dc", False),
+    ((DcElement("type", "Text", scheme="DCMIType"),), b"", "oai_dc", True),
+]
+# what the five exports of every record in _pinned_repository() hashed to
+# before the exports were built in one pass
+_PINNED_EXPORTS_SHA256 = \
+    "4468f8912bd4d5837f003c4739f6b86f6f0a709f281b8a6d6ea916873c8ec1a0"
+
+
+def _pinned_repository() -> Repository:
+    r = Repository(domain="pin.example")
+    r.register_collection_record(
+        _PINNED_COLLECTION,
+        (DcElement("title", "C & <co>", qualifier="alternative",
+                   language="d\u00e9"),
+         DcElement("description", "'\"\n\"'", scheme="\r")), T0)
+    for i, (rows, raw, original_format, public) in enumerate(_PINNED_RECORDS):
+        _insert_rows(r, rows, native_public=public, raw=raw,
+                     original_format=original_format, source=f"oai:p:{i}",
+                     collection=_PINNED_COLLECTION)
+    return r
+
+
+def _exports_sha256(repo: Repository) -> str:
+    hasher = hashlib.sha256()
+    for repo_id in sorted(repo._records):
+        hasher.update(repo_id.encode() + b"\0")
+        for fmt in repository.EXPORT_FORMATS:
+            payload = repo.get(repo_id).exports[fmt]
+            hasher.update(b"%d:" % len(payload) + payload)
+    return hasher.hexdigest()
+
+
+def test_exports_pinned_bytes(tmp_path):
+    repo = _pinned_repository()
+    assert repo.count() == 1 + len(_PINNED_RECORDS)
+    assert _exports_sha256(repo) == _PINNED_EXPORTS_SHA256
+    repo.save(tmp_path / "repository.json")
+    assert _exports_sha256(Repository.load(tmp_path / "repository.json")) \
+        == _PINNED_EXPORTS_SHA256
 
 
 def test_links_payload_membership(repo):
