@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from datetime import datetime, timedelta, timezone
@@ -40,6 +41,21 @@ DEFAULT_CONFIG = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: each known config key: the check its value must pass, and what it must be
+_CONFIG_CHECKS = {
+    "state_dir": (lambda v: isinstance(v, str), "a string"),
+    "domain": (lambda v: isinstance(v, str), "a string"),
+    "postdate_offset_hours": (
+        lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v),
+        "a finite number"),
+    "page_size": (lambda v: _is_int(v) and v >= 1, "an integer of at least 1"),
+}
+
+
 def load_config(path: str | None) -> dict:
     config = dict(DEFAULT_CONFIG)
     candidate = path or os.environ.get("MDPIPE_CONFIG")
@@ -51,6 +67,10 @@ def load_config(path: str | None) -> dict:
         if not isinstance(loaded, dict):
             raise SystemExit(f"config {candidate} is not a JSON object")
         config.update(loaded)
+        for key, (check, kind) in _CONFIG_CHECKS.items():
+            if not check(config[key]):
+                raise SystemExit(f"config {candidate}: {key} must be {kind},"
+                                 f" not {config[key]!r}")
     return config
 
 
@@ -259,7 +279,8 @@ def cmd_ingest(args, state: State) -> int:
         return 2
     now = _parse_at(args.at)
     try:
-        minted = state.repository.insert(doc, now)
+        config = state.registry.state(doc.collection_id).config
+        minted = state.repository.insert(doc, now, config.native_public)
     except UnknownCollection as exc:
         _emit(args, {"error": str(exc)}, [f"unknown collection: {exc}"])
         return 2

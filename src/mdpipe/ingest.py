@@ -4,6 +4,10 @@ The transform applies one global rule set to every record; there are no
 collection-specific branches. Each element passes the rules once, in a
 fixed order, and the whole transform is a fixed point: applying it twice
 changes nothing.
+
+A dbInsert document pairs each original record, byte for byte, with its
+normalized form. ``parse_db_insert`` reads it with ``model.read_xml``, the
+same reader as OAI responses.
 """
 
 from __future__ import annotations
@@ -11,17 +15,18 @@ from __future__ import annotations
 import functools
 import json
 import re
-import xml.parsers.expat
 from dataclasses import dataclass, field
 from importlib import resources
 from urllib.parse import quote, urlsplit
 from xml.sax.saxutils import quoteattr
 
 from . import model
-from .errors import IdentifierMismatch, MalformedDocument, WellFormednessError
+from .errors import IdentifierMismatch, MalformedDocument
 from .model import PERCENT_ESCAPE, DcElement, MetadataRecord, is_absolute_uri
 
 DBINSERT_NS = "urn:x-mdpipe:dbinsert"
+#: the two children of a dbInsert <entry>, each wrapping one payload
+_ENTRY_CHILDREN = ("original", "normalized")
 
 RULE_DROP_NO_VALUE = "drop-no-value"
 RULE_WHITESPACE = "whitespace"
@@ -258,10 +263,6 @@ def validate_normalized(record: NormalizedRecord) -> list[Violation]:
     profile = _profile()
     violations: list[Violation] = []
     for i, el in enumerate(record.elements):
-        if el.name not in model.DC_ELEMENTS:
-            violations.append(Violation(i, "element-name",
-                                        f"{el.name!r} not in the DC element set"))
-            continue
         if el.qualifier is not None:
             allowed = profile.qualifiers.get(el.name, ())
             if el.qualifier not in allowed:
@@ -332,100 +333,60 @@ def serialize_db_insert(doc: DbInsertDocument) -> bytes:
     return b"".join(parts)
 
 
-class _DbInsertParser:
-    """Single-pass expat parse capturing byte ranges of each entry's
-    original <record> and normalized payload container."""
+def parse_db_insert(data: bytes) -> DbInsertDocument:
+    """Read a dbInsert document: a ``<dbInsert collection= attempt=>`` root
+    whose ``<entry>`` elements each hold an ``<original format=>`` wrapping
+    the harvested ``<record>`` and a ``<normalized log=>`` wrapping its
+    normalized DC container. Each child keeps its exact bytes. A wrong
+    root, a child outside an open entry, or a missing child or root
+    attribute raises MalformedDocument."""
+    root_attrs: dict[str, str] = {}
+    entries: list[dict] = []
+    entry: dict | None = None       # the open <entry>
+    wrapper = ""                    # the entry child opened last
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.parser = xml.parsers.expat.ParserCreate("utf-8", " ")
-        self.parser.buffer_text = True
-        self.parser.StartElementHandler = self._start
-        self.parser.EndElementHandler = self._end
-        self.root_attrs: dict[str, str] = {}
-        self.entries: list[dict] = []
-        self.current: dict | None = None
-        self.capture: str | None = None   # "original" | "normalized"
-        self.capture_depth = 0
-        self.depth = 0
-
-    @staticmethod
-    def _local(name: str) -> str:
-        return name.rsplit(" ", 1)[-1]
-
-    def _start(self, name, attrs):
-        local = self._local(name)
-        self.depth += 1
-        if self.capture is not None:
-            if self.capture_depth == 0:
-                self.current[f"{self.capture}_start"] = \
-                    self.parser.CurrentByteIndex
-            self.capture_depth += 1
-            return
-        if self.depth == 1:
+    def start(local, attrs, depth):
+        nonlocal entry, wrapper
+        if depth == 1:
             if local != "dbInsert":
                 raise MalformedDocument(f"unexpected root {local!r}")
-            self.root_attrs = dict(attrs)
+            root_attrs.update(attrs)
         elif local == "entry":
-            self.current = {}
-        elif local in ("original", "normalized"):
-            if self.current is None:
+            entry = {}
+        elif local in _ENTRY_CHILDREN:
+            if entry is None:
                 raise MalformedDocument(f"{local} outside an entry")
-            self.current[f"{local}_attrs"] = dict(attrs)
-            self.capture = local
-            self.capture_depth = 0
+            entry[f"{local}_attrs"] = attrs
+            wrapper = local
 
-    def _end(self, name):
-        local = self._local(name)
-        if self.capture is not None:
-            if local == self.capture and self.capture_depth == 0:
-                self.capture = None
-            else:
-                self.capture_depth -= 1
-                if self.capture_depth == 0:
-                    end_tag = self.parser.CurrentByteIndex
-                    self.current[f"{self.capture}_end"] = \
-                        model._end_of_tag(self.data, end_tag)
-            self.depth -= 1
-            return
-        if local == "entry" and self.current is not None:
-            self.entries.append(self.current)
-            self.current = None
-        self.depth -= 1
+    def end(local, text):
+        nonlocal entry
+        if local == "entry" and entry is not None:
+            entries.append(entry)
+            entry = None
 
-    def run(self):
-        try:
-            self.parser.Parse(self.data, True)
-        except xml.parsers.expat.ExpatError as exc:
-            raise WellFormednessError(f"dbInsert not well-formed: {exc}") from exc
+    def payload(begin, stop):
+        entry[wrapper] = data[begin:stop]
 
-
-def parse_db_insert(data: bytes) -> DbInsertDocument:
-    model.validate_utf8(data)
-    dp = _DbInsertParser(data)
-    dp.run()
-    collection_id = dp.root_attrs.get("collection")
-    attempt_id = dp.root_attrs.get("attempt")
+    model.read_xml(data, _ENTRY_CHILDREN, start, end, payload)
+    collection_id = root_attrs.get("collection")
+    attempt_id = root_attrs.get("attempt")
     if not collection_id or not attempt_id:
         raise MalformedDocument("dbInsert missing collection/attempt attributes")
-    entries = []
-    for e in dp.entries:
-        for key in ("original_start", "normalized_start"):
-            if key not in e:
-                raise MalformedDocument("entry missing original or normalized child")
+    parsed = []
+    for e in entries:
+        if "original" not in e or "normalized" not in e:
+            raise MalformedDocument("entry missing original or normalized child")
         fmt = e["original_attrs"].get("format", "oai_dc")
-        original = model.parse_record(
-            data[e["original_start"]:e["original_end"]], format_prefix=fmt)
-        payload = data[e["normalized_start"]:e["normalized_end"]]
-        elements = model.parse_dc_payload(payload, "nsdl_dc")
+        original = model.parse_record(e["original"], format_prefix=fmt)
         log = tuple(t for t in e["normalized_attrs"].get("log", "").split(",") if t)
-        entries.append(DbInsertEntry(
+        parsed.append(DbInsertEntry(
             original=original,
             normalized=NormalizedRecord(
                 source_identifier=original.header.identifier,
-                elements=elements,
+                elements=model.parse_dc_payload(e["normalized"], "nsdl_dc"),
                 transform_log=log),
         ))
-    return DbInsertDocument(entries=tuple(entries),
+    return DbInsertDocument(entries=tuple(parsed),
                             collection_id=collection_id,
                             harvest_attempt_id=attempt_id)

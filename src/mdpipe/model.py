@@ -3,6 +3,13 @@
 Everything here is immutable after construction and safe to share across
 threads. Parsing is strict: invalid UTF-8 and schema-violating responses are
 rejected with byte-level diagnostics rather than repaired.
+
+One expat reader, ``read_xml``, reads both OAI responses (here) and dbInsert
+batches (``ingest``) in one pass. It hands each payload (the element child
+of a wrapper such as ``<metadata>``) back as its exact source bytes. A
+payload is stored and later served on its own, so it must be well-formed
+without the document around it. Dublin Core payloads and Identify responses
+are parsed with ElementTree.
 """
 
 from __future__ import annotations
@@ -229,166 +236,159 @@ def validate_utf8(data: bytes) -> None:
         ) from exc
 
 
-def _end_of_tag(data: bytes, start: int) -> int:
-    """Index one past the '>' closing the tag that opens at ``start``.
+# ---------------------------------------------------------------------------
+# The XML reader (expat, one pass, byte-exact payload slices)
 
-    Walks quoted attribute values so a '>' inside them is not mistaken for
-    the tag terminator.
+# one tag from its '<' to its '>'; a '>' inside a quoted attribute value
+# does not end it
+_TAG = re.compile(rb"""<(?:[^"'>]|"[^"]*"|'[^']*')*>""")
+
+
+def _end_of_element(data: bytes, begin: int, at: int) -> int:
+    """Index one past the element that opens at ``begin``, given where
+    expat reports its end: at its end tag, or, for an empty-element tag,
+    just past that tag. Expat has read both tags whole, so each match is
+    found."""
+    head = _TAG.match(data, begin).end()
+    if data[head - 2:head] == b"/>":
+        return head
+    return _TAG.match(data, at).end()
+
+
+def read_xml(data: bytes, wrappers, start, end, payload) -> None:
+    """Read a document in one expat pass.
+
+    Each element outside a payload is reported as ``start(local, attrs,
+    depth)``, the root at depth 1, and ``end(local, text)``, where ``text``
+    is all the character data inside the element except what lies inside
+    a wrapper. The element children of an element named in ``wrappers``
+    are payloads: the reader does not descend into one, and passes its
+    exact byte range to ``payload(begin, stop)``. A callback may raise to
+    reject the document. Invalid UTF-8 and broken XML raise
+    WellFormednessError.
     """
-    quote = None
-    for i in range(start, len(data)):
-        b = data[i:i + 1]
-        if quote is not None:
-            if b == quote:
-                quote = None
-        elif b in (b'"', b"'"):
-            quote = b
-        elif b == b">":
-            return i + 1
-    raise WellFormednessError("unterminated tag", byte_offset=start)
+    validate_utf8(data)
+    parser = xml.parsers.expat.ParserCreate("utf-8", " ")
+    parser.buffer_text = True
+    # (local name, is a wrapper, where its text begins in ``chunks``) of
+    # each open element outside payloads
+    opened: list[tuple[str, bool, int]] = []
+    chunks: list[str] = []
+    inside = 0          # depth within the open payload; 0 outside one
+    begin = 0
+
+    def on_start(name, attrs):
+        nonlocal inside, begin
+        if inside:
+            inside += 1
+        elif opened and opened[-1][1]:
+            inside = 1
+            begin = parser.CurrentByteIndex
+        else:
+            local = name.rpartition(" ")[2]
+            opened.append((local, local in wrappers, len(chunks)))
+            start(local, attrs, len(opened))
+
+    def on_end(name):
+        nonlocal inside
+        if inside:
+            inside -= 1
+            if not inside:
+                payload(begin, _end_of_element(data, begin,
+                                               parser.CurrentByteIndex))
+        else:
+            local, _, mark = opened.pop()
+            end(local, "".join(chunks[mark:]))
+
+    def on_chars(text):
+        # expat reports no character data outside the root element
+        if not (inside or opened[-1][1]):
+            chunks.append(text)
+
+    parser.StartElementHandler = on_start
+    parser.EndElementHandler = on_end
+    parser.CharacterDataHandler = on_chars
+    try:
+        parser.Parse(data, True)
+    except xml.parsers.expat.ExpatError as exc:
+        raise WellFormednessError(
+            f"XML not well-formed: {exc}",
+            byte_offset=getattr(exc, "offset", None),
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
-# Response parsing (expat, single pass, byte-exact payload slices)
+# Response parsing
 
 class _Record:
-    __slots__ = ("identifier", "datestamp", "set_specs", "deleted",
-                 "payload_start", "payload_end")
+    __slots__ = ("identifier", "datestamp", "set_specs", "deleted", "payload")
 
     def __init__(self):
         self.identifier = None
         self.datestamp = None
         self.set_specs = []
         self.deleted = False
-        self.payload_start = None
-        self.payload_end = None
+        self.payload = None     # the slice of the last metadata child
 
 
 class _ListParser:
-    """Expat-driven parse of an OAI-PMH ListRecords / GetRecord response.
-
-    Tracks byte offsets so each record's metadata payload can be sliced
-    byte-identically from the source buffer.
-    """
-
-    _SIMPLE_TEXT = {"identifier", "datestamp", "setSpec", "responseDate",
-                    "resumptionToken", "error"}
+    """The OAI consumer of ``read_xml``: each record's header fields and
+    the byte range of its metadata payload, and the response's root, verb
+    container, date, resumption token and error."""
 
     def __init__(self, data: bytes):
-        self.data = data
-        self.parser = xml.parsers.expat.ParserCreate("utf-8", " ")
-        self.parser.buffer_text = True
-        self.parser.StartElementHandler = self._start
-        self.parser.EndElementHandler = self._end
-        self.parser.CharacterDataHandler = self._chars
-
         self.records: list[_Record] = []
         self.current: _Record | None = None
-        self.text_target: str | None = None
-        self.text_parts: list[str] = []
         self.root_name: str | None = None
         self.verb_container: str | None = None
         self.response_date_text: str | None = None
         self.token_text: str | None = None
         self.token_attrs: dict[str, str] = {}
+        self.error_code = ""
         self.error: tuple[str, str] | None = None
-        self.in_metadata = False
-        self.payload_depth = 0
-        self.depth = 0
+        read_xml(data, ("metadata",), self._start, self._end, self._payload)
 
-    @staticmethod
-    def _local(name: str) -> tuple[str, str]:
-        if " " in name:
-            ns, local = name.rsplit(" ", 1)
-            return ns, local
-        return "", name
-
-    def _start(self, name, attrs):
-        ns, local = self._local(name)
-        self.depth += 1
-        if self.depth == 1:
-            self.root_name = local
+    def _start(self, local, attrs, depth):
+        if depth == 1:
             if local not in ("OAI-PMH", "record"):
                 raise SchemaViolation(f"unexpected root element {local!r}")
-            if local == "record":
-                self.current = _Record()
-            return
-        if self.in_metadata:
-            if self.payload_depth == 0:
-                self.current.payload_start = self.parser.CurrentByteIndex
-            self.payload_depth += 1
-            return
+            self.root_name = local
         if local == "record":
             self.current = _Record()
         elif local == "header":
-            if attrs.get("status") == "deleted":
-                if self.current is not None:
-                    self.current.deleted = True
+            if attrs.get("status") == "deleted" and self.current is not None:
+                self.current.deleted = True
         elif local == "metadata":
             if self.current is None:
                 raise SchemaViolation("metadata element outside a record")
-            self.in_metadata = True
-            self.payload_depth = 0
         elif local in ("ListRecords", "GetRecord", "ListIdentifiers"):
             self.verb_container = local
-        elif local in self._SIMPLE_TEXT:
-            self.text_target = local
-            self.text_parts = []
-            if local == "resumptionToken":
-                self.token_attrs = dict(attrs)
-            elif local == "error":
-                self.token_attrs = dict(attrs)  # reused for the code attr
+        elif local == "resumptionToken":
+            self.token_attrs = attrs
+        elif local == "error":
+            self.error_code = attrs.get("code", "")
 
-    def _end(self, name):
-        ns, local = self._local(name)
-        if self.in_metadata and (local != "metadata" or self.payload_depth > 0):
-            self.payload_depth -= 1
-            if self.payload_depth == 0:
-                end_tag = self.parser.CurrentByteIndex
-                self.current.payload_end = _end_of_tag(self.data, end_tag)
-            self.depth -= 1
-            return
-        if local == "metadata":
-            self.in_metadata = False
-        elif local == "record":
-            self._finish_record()
-        elif self.text_target == local:
-            text = "".join(self.text_parts)
-            if local == "identifier" and self.current is not None:
-                self.current.identifier = text
-            elif local == "datestamp" and self.current is not None:
-                self.current.datestamp = text
-            elif local == "setSpec" and self.current is not None:
-                self.current.set_specs.append(text)
-            elif local == "responseDate":
-                self.response_date_text = text
-            elif local == "resumptionToken":
-                self.token_text = text
-            elif local == "error":
-                self.error = (self.token_attrs.get("code", ""), text)
-            self.text_target = None
-        self.depth -= 1
-        if self.depth == 0 and self.root_name == "record" and self.current:
-            self._finish_record()
+    def _end(self, local, text):
+        rec = self.current
+        if local == "record":
+            if rec is not None:
+                self.records.append(rec)
+                self.current = None
+        elif local == "identifier" and rec is not None:
+            rec.identifier = text
+        elif local == "datestamp" and rec is not None:
+            rec.datestamp = text
+        elif local == "setSpec" and rec is not None:
+            rec.set_specs.append(text)
+        elif local == "responseDate":
+            self.response_date_text = text
+        elif local == "resumptionToken":
+            self.token_text = text
+        elif local == "error":
+            self.error = (self.error_code, text)
 
-    def _finish_record(self):
-        if self.current is None:
-            return
-        self.records.append(self.current)
-        self.current = None
-
-    def _chars(self, data):
-        if self.text_target is not None and not self.in_metadata:
-            self.text_parts.append(data)
-
-    def run(self) -> None:
-        try:
-            self.parser.Parse(self.data, True)
-        except xml.parsers.expat.ExpatError as exc:
-            raise WellFormednessError(
-                f"XML not well-formed: {exc}",
-                byte_offset=getattr(exc, "offset", None),
-            ) from exc
+    def _payload(self, begin, stop):
+        self.current.payload = slice(begin, stop)
 
 
 def _build_record(raw: bytes, rec: _Record,
@@ -411,14 +411,14 @@ def _build_record(raw: bytes, rec: _Record,
         deleted=rec.deleted,
     )
     if rec.deleted:
-        if rec.payload_start is not None:
+        if rec.payload is not None:
             raise SchemaViolation(
                 f"deleted record {rec.identifier!r} carries a metadata payload"
             )
         return MetadataRecord(header=header, format_prefix=format_prefix)
-    if rec.payload_start is None:
+    if rec.payload is None:
         raise SchemaViolation(f"record {rec.identifier!r} has no metadata payload")
-    payload = raw[rec.payload_start:rec.payload_end]
+    payload = raw[rec.payload]
     elements: tuple[DcElement, ...] = ()
     if format_prefix in DC_PROFILE_PREFIXES:
         elements = parse_dc_payload(payload, format_prefix)
@@ -436,9 +436,7 @@ def parse_list_response(data: bytes,
     OaiProtocolError when the server declared a protocol error, and
     SchemaViolation for structurally invalid responses.
     """
-    validate_utf8(data)
     lp = _ListParser(data)
-    lp.run()
     if lp.error is not None:
         code, message = lp.error
         if code not in PROTOCOL_ERROR_CODES:
@@ -473,9 +471,7 @@ def parse_list_response(data: bytes,
 
 def parse_record(data: bytes, format_prefix: str = "oai_dc") -> MetadataRecord:
     """Parse a standalone <record> element."""
-    validate_utf8(data)
     lp = _ListParser(data)
-    lp.run()
     if len(lp.records) != 1:
         raise SchemaViolation(f"expected one record, found {len(lp.records)}")
     return _build_record(data, lp.records[0], format_prefix)
@@ -501,6 +497,9 @@ def parse_dc_payload(payload: bytes, format_prefix: str) -> tuple[DcElement, ...
             raise SchemaViolation(
                 f"{local!r} is not a Dublin Core element (in {format_prefix})"
             )
+        if len(child):
+            raise SchemaViolation(
+                f"{local!r} holds markup, not only text (in {format_prefix})")
         elements.append(DcElement(
             name=local,
             value=child.text or "",

@@ -30,7 +30,8 @@ logger = logging.getLogger(__name__)
 FAILURE_RESYNC_THRESHOLD = 3
 #: for providers without persistent deletes, every Nth harvest is full
 PERIODIC_RESYNC_EVERY = 4
-DEFAULT_HARVEST_INTERVAL = timedelta(days=1)
+#: how long after an attempt a collection is due again
+HARVEST_INTERVAL = timedelta(days=1)
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class CollectionConfig:
     deleted_policy: str = "no"            # no | transient | persistent
     title: str = ""
     native_public: bool = True
-    harvest_interval: timedelta = DEFAULT_HARVEST_INTERVAL
 
     @property
     def source_key(self) -> tuple:
@@ -170,8 +170,7 @@ class Registry:
         due = []
         for cid, state in self._states.items():
             if (state.last_attempt_at is None
-                    or now - state.last_attempt_at
-                    >= state.config.harvest_interval):
+                    or now - state.last_attempt_at >= HARVEST_INTERVAL):
                 due.append((state.last_attempt_at or datetime.min.replace(
                     tzinfo=now.tzinfo), cid))
         due.sort()
@@ -276,7 +275,6 @@ def _register_event(config: CollectionConfig, now: datetime) -> dict:
         "deleted_policy": config.deleted_policy,
         "title": config.title,
         "native_public": config.native_public,
-        "harvest_interval_seconds": config.harvest_interval.total_seconds(),
     }
 
 
@@ -289,9 +287,6 @@ def _config_from_event(event: dict) -> CollectionConfig:
         deleted_policy=event.get("deleted_policy", "no"),
         title=event.get("title", ""),
         native_public=event.get("native_public", True),
-        harvest_interval=timedelta(
-            seconds=event.get("harvest_interval_seconds",
-                              DEFAULT_HARVEST_INTERVAL.total_seconds())),
     )
 
 

@@ -45,7 +45,6 @@ from .errors import (
     UnknownCollection,
     UnknownIdentifier,
 )
-from .ingest import NormalizedRecord
 from .model import DcElement, format_datestamp
 
 LINKS_NS = "urn:x-mdpipe:links"
@@ -69,15 +68,11 @@ class StoredRecord:
     provider_datestamp: datetime
     normalized_rows: tuple[DcElement, ...]   # the normalized elements, in order
     served_datestamp: datetime
+    exports: dict[str, bytes]     # the five export payloads; empty if deleted
     deleted: bool = False
     native_public: bool = True
     is_collection: bool = False
     schema_warning: bool = False
-    exports: dict[str, bytes] | None = None
-
-    @property
-    def normalized(self) -> NormalizedRecord:
-        return NormalizedRecord(self.source_identifier, self.normalized_rows)
 
 
 @dataclass(frozen=True)
@@ -364,7 +359,7 @@ class Repository:
                 hasher.update(format_datestamp(r.served_datestamp).encode())
                 hasher.update(b"1" if r.deleted else b"0")
                 for fmt in EXPORT_FORMATS:
-                    hasher.update((r.exports or {}).get(fmt, b""))
+                    hasher.update(r.exports.get(fmt, b""))
             checksum = hasher.hexdigest()
             return ServingSnapshot(
                 records=records,

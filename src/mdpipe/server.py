@@ -314,7 +314,7 @@ class OaiServer:
                           prefix: str) -> bytes:
         if rec.deleted:
             return b"<record>" + header + b"</record>"
-        payload = (rec.exports or {}).get(prefix, b"")
+        payload = rec.exports.get(prefix, b"")
         return (b"<record>" + header + b"<metadata>" + payload
                 + b"</metadata></record>")
 

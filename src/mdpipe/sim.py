@@ -388,11 +388,8 @@ class SimProvider:
                           schema_invalid: bool = False) -> str:
         stamp = ("01-08-2005" if bad_datestamp
                  else format_datestamp(rec.datestamp))
-        status = ' status="deleted"' if rec.deleted else ""
-        parts = [
-            f"<record><header{status}>"
-            f"<identifier>{escape(rec.identifier)}</identifier>"
-            f"<datestamp>{stamp}</datestamp></header>"]
+        parts = ["<record>",
+                 model.header_xml(rec.identifier, stamp, (), rec.deleted)]
         if not rec.deleted:
             payload = model.serialize_dc_payload(
                 self.scenario.format_prefix,

@@ -193,7 +193,6 @@ def validate_provider(base_url: str, transport,
     # -- 1. identify-well-formed
     try:
         raw = transport.get(f"{base_url}?{urlencode({'verb': 'Identify'})}")
-        model.validate_utf8(raw)
         info = model.parse_identify(raw)
     except TransportError as exc:
         return ValidationReport(base_url=base_url, checks=(),

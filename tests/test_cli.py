@@ -171,6 +171,23 @@ def test_config_not_a_json_object_exit_two(tmp_path, capsys, content):
     assert "not a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("state_dir", 3), ("domain", ["x"]), ("postdate_offset_hours", "three"),
+    ("postdate_offset_hours", True), ("postdate_offset_hours", float("nan")),
+    ("page_size", 0), ("page_size", 2.5), ("page_size", True)])
+def test_config_value_of_wrong_type_exit_two(env, tmp_path, capsys, key,
+                                            value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"state_dir": str(tmp_path / "state"),
+                                key: value}))
+    code = main(["--config", str(path), "register", "--collection-id", "c",
+                 "--base-url", "http://sim.invalid/oai",
+                 "--scenario", env["scenario"], "--at", AT])
+    assert code == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "state").exists()
+
+
 @pytest.mark.parametrize("option", ["--since", "--until"])
 def test_stats_bad_window_datestamp_exit_two(env, capsys, option):
     assert _run(env, "stats", option, "2006-13-01T00:00:00Z") == 2
@@ -213,6 +230,20 @@ def test_ingest_publishes_and_saves(env, tmp_path, capsys):
     assert saved.get(minted[0]).source_identifier == "oai:manual:1"
     snapshot = saved.publish(model.parse_datestamp(AT))
     assert minted[0] in {r.repo_identifier for r in snapshot.records}
+
+
+def test_ingest_keeps_natives_of_a_private_collection_private(env, tmp_path):
+    assert _run(env, "register", "--collection-id", "coll-1",
+                "--base-url", "http://sim.invalid/oai", "--native-private",
+                "--scenario", env["scenario"], "--at", AT) == 0
+    assert _run(env, "ingest", _insert_document(tmp_path, "coll-1"),
+                "--at", AT) == 0
+    saved = Repository.load(_state_file(tmp_path))
+    record = next(r for r in saved.publish(model.parse_datestamp(AT)).records
+                  if r.source_identifier == "oai:manual:1")
+    assert not record.native_public
+    assert b"<native" not in record.exports["nsdl_all"]
+    assert b"<native" in record.exports["nsdl_search"]
 
 
 @pytest.mark.parametrize("document", ["unknown-collection", "truncated"])

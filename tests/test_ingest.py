@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdpipe import ingest, model
-from mdpipe.errors import IdentifierMismatch
+from mdpipe.errors import IdentifierMismatch, MalformedDocument
 from mdpipe.ingest import (
     DbInsertDocument,
     NormalizedRecord,
@@ -377,6 +377,39 @@ def test_db_insert_preserves_original_bytes_exactly():
     doc = build_db_insert([(rec, safe_transform(rec, CFG))], "c", "a")
     back = parse_db_insert(serialize_db_insert(doc))
     assert back.entries[0].original.raw_xml == rec.raw_xml
+
+
+def _db_insert_bytes():
+    return serialize_db_insert(build_db_insert([_pair("oai:x:1")], "c", "a"))
+
+
+def _without(data, start, end):
+    """``data`` with the span from ``start`` through ``end`` cut out."""
+    i = data.index(start)
+    return data[:i] + data[data.index(end, i) + len(end):]
+
+
+def _child_after_entry(data):
+    normalized = data[data.index(b"<normalized"):data.index(b"</entry>")]
+    return data.replace(b"</entry>", b"</entry>" + normalized)
+
+
+@pytest.mark.parametrize("broken", [
+    lambda d: d.replace(b"<dbInsert", b"<dbinsert").replace(
+        b"</dbInsert>", b"</dbinsert>"),
+    _child_after_entry,
+    lambda d: _without(d, b"<original", b"</original>"),
+    lambda d: _without(d, b"<normalized", b"</normalized>"),
+    lambda d: re.sub(rb"(<normalized[^>]*>).*(</normalized>)", rb"\1\2", d),
+    lambda d: d.replace(b' collection="c"', b""),
+    lambda d: d.replace(b' attempt="a"', b""),
+], ids=["wrong-root", "child-after-closed-entry", "no-original",
+        "no-normalized", "empty-normalized", "no-collection", "no-attempt"])
+def test_db_insert_malformed_document(broken):
+    data = broken(_db_insert_bytes())
+    assert data != _db_insert_bytes()
+    with pytest.raises(MalformedDocument):
+        parse_db_insert(data)
 
 
 def test_db_insert_identifier_mismatch():

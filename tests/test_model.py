@@ -1,5 +1,6 @@
 import re
 import random
+from xml.sax import saxutils
 from datetime import datetime, timezone
 
 import pytest
@@ -326,6 +327,110 @@ def test_native_format_payload_kept_unparsed():
     rec = resp.records[0]
     assert rec.elements == ()
     assert rec.raw_xml.startswith(b"<native")
+
+
+def test_dc_element_holding_markup_rejected():
+    body = _record_xml("oai:x:1").replace(
+        "<dc:title>A title</dc:title>",
+        "<dc:description>Intro <b>bold</b> and the rest</dc:description>")
+    with pytest.raises(SchemaViolation, match="description"):
+        parse_list_response(_wrap_list(body))
+
+
+def test_payload_relying_on_an_ancestor_namespace_rejected():
+    # raw_xml is stored and later served on its own, so it must be
+    # well-formed without the response around it
+    data = _wrap_list(_record_xml("oai:x:1")).replace(
+        f' xmlns:dc="{model.DC_NS}"'.encode(), b"").replace(
+        f'<OAI-PMH xmlns="{model.OAI_NS}"'.encode(),
+        f'<OAI-PMH xmlns="{model.OAI_NS}" xmlns:dc="{model.DC_NS}"'.encode())
+    with pytest.raises(WellFormednessError):
+        parse_list_response(data)
+
+
+def test_self_closing_payload_ends_at_its_own_tag():
+    body = (
+        "<record><header><identifier>oai:x:9</identifier>"
+        "<datestamp>2005-08-01T00:00:00Z</datestamp></header>"
+        '<metadata><native a="x/>y"/>tail</metadata></record>'
+    )
+    resp = parse_list_response(_wrap_list(body), format_prefix="native_fmt")
+    assert resp.records[0].raw_xml == b'<native a="x/>y"/>'
+
+
+# ---------------------------------------------------------------------------
+# read_xml: payload bytes under adversarial markup
+
+_NAMES = ("x", "p:y", "metadata", "record", "header", "identifier", "error")
+_ATTRS = (' a=">"', " b='>\"'", ' c="x&gt;y"', ' d="/>"', ' e="&amp;&#62;"')
+_CONTENT = ("text", "&amp;&lt;&#x3e;&#169;", "<!-- > </x> -->",
+            "<![CDATA[<a></b>&amp;>]]>", "<?pi > ?>", "\n  ", "")
+
+
+@st.composite
+def _payload_element(draw, depth=2):
+    name = draw(st.sampled_from(_NAMES))
+    attrs = "".join(draw(st.lists(st.sampled_from(_ATTRS), max_size=3,
+                                  unique=True)))
+    if name.startswith("p:"):
+        attrs += ' xmlns:p="urn:x-test:p"'
+    if depth == 0 or draw(st.booleans()):
+        return f"<{name}{attrs}/>"
+    parts = draw(st.lists(st.one_of(st.sampled_from(_CONTENT),
+                                    _payload_element(depth - 1)), max_size=3))
+    return f"<{name}{attrs}>{''.join(parts)}</{name}>"
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=12)
+_STAMPS = st.datetimes(min_value=datetime(1, 1, 1),
+                       max_value=datetime(9999, 12, 31),
+                       timezones=st.just(UTC)).map(
+    lambda t: t.replace(microsecond=0))
+
+
+@st.composite
+def _oai_record(draw):
+    """A record's bytes, its header, and the payload the parser must keep
+    (the last of the metadata element's children), or None if deleted."""
+    header = RecordHeader(identifier=draw(_TEXT.filter(bool)),
+                          datestamp=draw(_STAMPS),
+                          set_specs=tuple(draw(st.lists(_TEXT, max_size=2))),
+                          deleted=draw(st.booleans()))
+    xml = "<record>" + model.serialize_header(header)
+    payload = None
+    if not header.deleted:
+        children = draw(st.lists(_payload_element(), min_size=1, max_size=3))
+        gaps = draw(st.lists(st.sampled_from(_CONTENT),
+                             min_size=len(children) + 1,
+                             max_size=len(children) + 1))
+        body = "".join(g + c for g, c in zip(gaps, children)) + gaps[-1]
+        xml += f"<metadata>{body}</metadata>"
+        payload = children[-1].encode()
+    return xml + "</record>", header, payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(_oai_record(), max_size=4),
+       token=st.none() | st.tuples(_TEXT, st.integers(0, 10**6),
+                                   st.integers(0, 10**6)))
+def test_read_xml_keeps_exact_payload_bytes(records, token):
+    body = "".join(xml for xml, _, _ in records)
+    token_el, token_attrs = None, ""
+    if token is not None:
+        token_el = saxutils.escape(token[0])
+        token_attrs = f' completeListSize="{token[1]}" cursor="{token[2]}"'
+    resp = parse_list_response(_wrap_list(body, token_el, token_attrs),
+                               format_prefix="native_fmt")
+    assert [r.header for r in resp.records] == [h for _, h, _ in records]
+    assert [r.raw_xml or None for r in resp.records] == [
+        p for _, _, p in records]
+    if token is None:
+        assert resp.token is None
+    else:
+        assert resp.token == model.ResumptionToken(*token)
+    for xml, header, payload in records:
+        alone = parse_record(xml.encode(), format_prefix="native_fmt")
+        assert (alone.header, alone.raw_xml or None) == (header, payload)
 
 
 # ---------------------------------------------------------------------------

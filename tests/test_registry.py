@@ -13,6 +13,7 @@ from mdpipe.errors import (
 )
 from mdpipe.model import DcElement
 from mdpipe.registry import (
+    HARVEST_INTERVAL,
     CollectionConfig,
     CollectionState,
     HarvestAttempt,
@@ -246,6 +247,28 @@ def test_replay_rebuilds_identical_state(tmp_path, repo):
     assert replayed.collection_ids() == ["coll-1"]
     assert replayed.state("coll-1") == registry.state("coll-1")
     assert replayed.stats() == registry.stats()
+
+
+# a register event as older logs wrote it, with the interval that was once
+# a per-collection setting; replay ignores the key
+_OLD_REGISTER_LINE = (
+    '{"type": "register", "at": "2006-05-01T08:00:00Z", '
+    '"collection_id": "coll-1", "base_url": "http://prov.invalid/oai", '
+    '"format_prefix": "oai_dc", "set_spec": null, "deleted_policy": "no", '
+    '"title": "coll-1", "native_public": false, '
+    '"harvest_interval_seconds": 3600.0}\n')
+
+
+def test_replay_ignores_harvest_interval_of_older_logs(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_text(_OLD_REGISTER_LINE)
+    replayed = Registry.replay(path)
+    assert replayed.state("coll-1").config == _config(title="coll-1",
+                                                      native_public=False)
+    replayed.record_attempt(_attempt(at=T0, mode="full", through=T0))
+    assert replayed.schedule_due(T0 + timedelta(hours=2)) == []
+    assert replayed.schedule_due(T0 + HARVEST_INTERVAL) == ["coll-1"]
+    assert "harvest_interval" not in path.read_text().splitlines()[-1]
 
 
 def test_replay_of_missing_log_is_empty(tmp_path):
