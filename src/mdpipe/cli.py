@@ -28,10 +28,8 @@ from .errors import (
 )
 from .registry import CollectionConfig, Registry
 from .repository import Repository
-from .server import OaiServer, ServerConfig
+from .server import OaiServer, ServerConfig, serve_http
 from .validator import validate_provider
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_CONFIG = {
     "state_dir": "./mdpipe-state",
@@ -298,27 +296,18 @@ def cmd_serve_oai(args, state: State) -> int:
         ServerConfig(page_size=state.config["page_size"],
                      base_url=f"http://127.0.0.1:{args.port}/oai"),
         snapshot)
-    import http.server
+    return _serve(lambda path: (200, server.handle_url(path)), args.port,
+                  f"serving {snapshot.manifest.record_count} records")
 
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def do_GET(self):
-            body = server.handle_url(self.path)
-            self.send_response(200)
-            self.send_header("Content-Type", "text/xml; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
 
-        def log_message(self, *a):
-            logger.debug(*a)
-
-    httpd = http.server.ThreadingHTTPServer(("127.0.0.1", args.port), Handler)
-    print(f"serving {snapshot.manifest.record_count} records on "
-          f"http://127.0.0.1:{args.port}/oai")
-    try:
-        httpd.serve_forever()
-    except KeyboardInterrupt:
-        pass
+def _serve(answer, port: int, what: str) -> int:
+    """Serve ``answer`` over HTTP until interrupted."""
+    with serve_http(answer, port) as httpd:
+        print(f"{what} on http://127.0.0.1:{port}/oai")
+        try:
+            httpd.serve_forever()
+        except KeyboardInterrupt:
+            pass
     return 0
 
 
@@ -382,14 +371,8 @@ def cmd_simulate(args, state: State) -> int:
     clock = sim.SimClock(_parse_at(args.at))
     provider = sim.SimProvider(
         scenario, clock, base_url=f"http://127.0.0.1:{args.port}/oai")
-    httpd = sim.serve_http(provider, args.port)
-    print(f"simulating {len(scenario.records)} records on "
-          f"http://127.0.0.1:{args.port}/oai")
-    try:
-        httpd.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    return 0
+    return _serve(provider.handle_url, args.port,
+                  f"simulating {len(scenario.records)} records")
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,6 @@ def _rewrite(el: DcElement, config: TransformConfig,
 
 @dataclass(frozen=True)
 class Violation:
-    element_index: int          # -1 for record-level findings
     rule: str
     message: str
 
@@ -262,22 +261,22 @@ def validate_normalized(record: NormalizedRecord) -> list[Violation]:
     """
     profile = _profile()
     violations: list[Violation] = []
-    for i, el in enumerate(record.elements):
+    for el in record.elements:
         if el.qualifier is not None:
             allowed = profile.qualifiers.get(el.name, ())
             if el.qualifier not in allowed:
                 violations.append(Violation(
-                    i, "qualifier",
+                    "qualifier",
                     f"qualifier {el.qualifier!r} not allowed on {el.name}"))
         if el.scheme is not None and el.scheme not in profile.schemes:
             violations.append(Violation(
-                i, "scheme", f"unknown encoding scheme {el.scheme!r}"))
+                "scheme", f"unknown encoding scheme {el.scheme!r}"))
         if el.scheme == "URI" and not is_absolute_uri(el.value):
             violations.append(Violation(
-                i, "uri-value", f"not an absolute URI: {el.value!r}"))
+                "uri-value", f"not an absolute URI: {el.value!r}"))
     if not any(el.name in ("identifier", "title") for el in record.elements):
         violations.append(Violation(
-            -1, "min-content", "record retains neither an identifier nor a title"))
+            "min-content", "record retains neither an identifier nor a title"))
     return violations
 
 

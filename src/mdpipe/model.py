@@ -4,12 +4,15 @@ Everything here is immutable after construction and safe to share across
 threads. Parsing is strict: invalid UTF-8 and schema-violating responses are
 rejected with byte-level diagnostics rather than repaired.
 
-One expat reader, ``read_xml``, reads both OAI responses (here) and dbInsert
-batches (``ingest``) in one pass. It hands each payload (the element child
-of a wrapper such as ``<metadata>``) back as its exact source bytes. A
-payload is stored and later served on its own, so it must be well-formed
-without the document around it. Dublin Core payloads and Identify responses
-are parsed with ElementTree.
+The OAI-PMH wire format is known here alone, both ways: the renderers
+(``response_xml`` for the envelope, ``header_xml`` and the ``*_xml`` verb
+parts) write every response the server and the simulator send. One expat
+reader, ``read_xml``, reads both OAI responses (here) and dbInsert batches
+(``ingest``) in one pass. It hands each payload (the element child of a
+wrapper such as ``<metadata>``) back as its exact source bytes. A payload
+is stored and later served on its own, so it must be well-formed without
+the document around it. Dublin Core payloads and Identify responses are
+parsed with ElementTree.
 """
 
 from __future__ import annotations
@@ -216,7 +219,6 @@ class ListResponse:
 class IdentifyInfo:
     repository_name: str
     base_url: str
-    protocol_version: str
     earliest_datestamp: str
     deleted_policy: str
     granularity: str
@@ -313,7 +315,7 @@ def read_xml(data: bytes, wrappers, start, end, payload) -> None:
     except xml.parsers.expat.ExpatError as exc:
         raise WellFormednessError(
             f"XML not well-formed: {exc}",
-            byte_offset=getattr(exc, "offset", None),
+            byte_offset=parser.ErrorByteIndex,
         ) from exc
 
 
@@ -458,15 +460,21 @@ def parse_list_response(data: bytes,
 
     token = None
     if lp.token_text is not None:
-        attrs = lp.token_attrs
-        size = attrs.get("completeListSize")
-        cursor = attrs.get("cursor")
         token = ResumptionToken(
             token=lp.token_text,
-            complete_list_size=int(size) if size is not None else None,
-            cursor=int(cursor) if cursor is not None else None,
+            complete_list_size=_token_count(lp.token_attrs, "completeListSize"),
+            cursor=_token_count(lp.token_attrs, "cursor"),
         )
     return ListResponse(records=records, token=token, response_date=response_date)
+
+
+def _token_count(attrs: dict[str, str], name: str) -> int | None:
+    """An integer attribute of ``<resumptionToken>``; None when absent."""
+    try:
+        return None if name not in attrs else int(attrs[name])
+    except ValueError:
+        raise SchemaViolation(f"resumptionToken {name}={attrs[name]!r} "
+                              "is not an integer") from None
 
 
 def parse_record(data: bytes, format_prefix: str = "oai_dc") -> MetadataRecord:
@@ -578,6 +586,72 @@ def header_xml(identifier: str, datestamp: str, set_specs: tuple[str, ...],
 
 
 # ---------------------------------------------------------------------------
+# Response rendering: the parts of an OAI-PMH response (section 3.2)
+
+_RESPONSE_OPEN = ('<?xml version="1.0" encoding="UTF-8"?>'
+                  f"<OAI-PMH xmlns={_quoteattr(OAI_NS)}>").encode()
+
+
+def response_xml(now: datetime, base_url: str, verb: str | None,
+                 body: bytes, args: tuple[tuple[str, str], ...] = ()) -> bytes:
+    """A whole response: the envelope with ``now`` as its responseDate,
+    then ``<request>`` with ``verb`` (left out when None) and ``args`` as
+    its attributes, in that order, then ``body``."""
+    if verb:
+        args = (("verb", verb), *args)
+    attrs = "".join([f" {name}={_quoteattr(value)}" for name, value in args])
+    head = (f"<responseDate>{format_datestamp(now)}</responseDate>"
+            f"<request{attrs}>{escape(base_url)}</request>")
+    return b"".join((_RESPONSE_OPEN, head.encode(), body, b"</OAI-PMH>"))
+
+
+def error_xml(code: str, message: str) -> str:
+    return f"<error code={_quoteattr(code)}>{escape(message)}</error>"
+
+
+def resumption_token_xml(token: str, complete_list_size: int,
+                         cursor: int) -> str:
+    """The ``<resumptionToken>`` of a list page. The empty token is the
+    element that closes a paged list on its last page."""
+    return (f'<resumptionToken completeListSize="{complete_list_size}"'
+            f' cursor="{cursor}">{escape(token)}</resumptionToken>')
+
+
+def identify_xml(repository_name: str | None, base_url: str,
+                 admin_email: str, earliest: str, deleted_policy: str) -> str:
+    """The ``<Identify>`` body. A None name leaves out the required
+    ``repositoryName``, as a broken provider does."""
+    name = ("" if repository_name is None else
+            f"<repositoryName>{escape(repository_name)}</repositoryName>")
+    return (f"<Identify>{name}"
+            f"<baseURL>{escape(base_url)}</baseURL>"
+            "<protocolVersion>2.0</protocolVersion>"
+            f"<adminEmail>{escape(admin_email)}</adminEmail>"
+            f"<earliestDatestamp>{earliest}</earliestDatestamp>"
+            f"<deletedRecord>{escape(deleted_policy)}</deletedRecord>"
+            f"<granularity>{GRANULARITY_SECOND}</granularity></Identify>")
+
+
+def list_metadata_formats_xml(prefixes, urn_base: str) -> str:
+    """The ``<ListMetadataFormats>`` body; each format's schema and
+    namespace are URNs under ``urn_base``."""
+    formats = "".join([
+        f"<metadataFormat><metadataPrefix>{escape(prefix)}</metadataPrefix>"
+        f"<schema>{urn_base}:schema:{escape(prefix)}</schema>"
+        f"<metadataNamespace>{urn_base}:{escape(prefix)}</metadataNamespace>"
+        "</metadataFormat>" for prefix in prefixes])
+    return f"<ListMetadataFormats>{formats}</ListMetadataFormats>"
+
+
+def list_sets_xml(sets) -> str:
+    """The ``<ListSets>`` body from ``(setSpec, setName)`` pairs."""
+    items = "".join([f"<set><setSpec>{escape(spec)}</setSpec>"
+                     f"<setName>{escape(name)}</setName></set>"
+                     for spec, name in sets])
+    return f"<ListSets>{items}</ListSets>"
+
+
+# ---------------------------------------------------------------------------
 # Identify
 
 _IDENTIFY_REQUIRED = ("repositoryName", "baseURL", "protocolVersion",
@@ -615,7 +689,6 @@ def parse_identify(data: bytes) -> IdentifyInfo:
     return IdentifyInfo(
         repository_name=fields["repositoryName"],
         base_url=fields["baseURL"],
-        protocol_version=fields["protocolVersion"],
         earliest_datestamp=fields["earliestDatestamp"],
         deleted_policy=fields["deletedRecord"],
         granularity=fields["granularity"],

@@ -5,10 +5,14 @@ Resumption tokens are stateless: the query state is signed and encoded in
 the token itself, bound to the snapshot it was minted against, so a publish
 invalidates outstanding tokens and harvesters restart their lists.
 
-Responses are assembled as bytes. A record is the ``<header>`` its snapshot
-rendered once (``ServingSnapshot.header`` and ``select``) followed by its
-stored export payload, so serving a page formats, escapes and re-encodes
-nothing per record.
+Responses are assembled as bytes from ``model``'s renderers, which the
+simulator shares. A record is the ``<header>`` its snapshot rendered once
+(``ServingSnapshot.header`` and ``select``) followed by its stored export
+payload, so serving a page formats, escapes and re-encodes nothing per
+record.
+
+``serve_http`` is the one HTTP front: it serves this endpoint for
+``mdpipe serve-oai`` and the simulator for ``mdpipe simulate``.
 """
 
 from __future__ import annotations
@@ -17,23 +21,22 @@ import base64
 import binascii
 import hashlib
 import hmac
+import http.server
 import json
+import logging
 import secrets as _secrets
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Callable
 from urllib.parse import parse_qsl, urlsplit
-from xml.sax.saxutils import escape, quoteattr
 
+from . import model
 from .errors import OaiProtocolError
-from .model import (
-    GRANULARITY_SECOND,
-    OAI_NS,
-    format_datestamp,
-    parse_datestamp,
-)
+from .model import format_datestamp, parse_datestamp
 from .repository import EXPORT_FORMATS, ServingSnapshot, StoredRecord
+
+logger = logging.getLogger(__name__)
 
 #: how long a minted resumption token stays valid
 TOKEN_TTL = timedelta(hours=1)
@@ -152,23 +155,13 @@ class OaiServer:
     # -- envelope helpers
 
     def _envelope(self, verb: str | None, body: bytes, now: datetime,
-                  request_attrs: dict[str, str] | None = None) -> bytes:
-        attrs = ""
-        if verb:
-            attrs += f" verb={quoteattr(verb)}"
-        for k, v in (request_attrs or {}).items():
-            attrs += f" {k}={quoteattr(v)}"
-        return (
-            '<?xml version="1.0" encoding="UTF-8"?>'
-            f"<OAI-PMH xmlns={quoteattr(OAI_NS)}>"
-            f"<responseDate>{format_datestamp(now)}</responseDate>"
-            f"<request{attrs}>{escape(self.config.base_url)}</request>"
-        ).encode() + body + b"</OAI-PMH>"
+                  args: tuple[tuple[str, str], ...] = ()) -> bytes:
+        return model.response_xml(now, self.config.base_url, verb, body, args)
 
     def _error_response(self, verb, code, message) -> bytes:
-        body = f"<error code={quoteattr(code)}>{escape(message)}</error>"
         return self._envelope(verb if code != "badVerb" else None,
-                              body.encode(), self.clock())
+                              model.error_xml(code, message).encode(),
+                              self.clock())
 
     # -- verbs
 
@@ -178,17 +171,9 @@ class OaiServer:
         earliest = (format_datestamp(records[0].served_datestamp)
                     if records and records[0].served_datestamp <= now
                     else "1970-01-01T00:00:00Z")
-        body = (
-            "<Identify>"
-            f"<repositoryName>{escape(self.config.repository_name)}"
-            "</repositoryName>"
-            f"<baseURL>{escape(self.config.base_url)}</baseURL>"
-            "<protocolVersion>2.0</protocolVersion>"
-            f"<adminEmail>{escape(self.config.admin_email)}</adminEmail>"
-            f"<earliestDatestamp>{earliest}</earliestDatestamp>"
-            "<deletedRecord>persistent</deletedRecord>"
-            f"<granularity>{GRANULARITY_SECOND}</granularity>"
-            "</Identify>")
+        body = model.identify_xml(
+            self.config.repository_name, self.config.base_url,
+            self.config.admin_email, earliest, "persistent")
         return self._envelope("Identify", body.encode(), now)
 
     def _list_metadata_formats(self, args, now) -> bytes:
@@ -196,26 +181,13 @@ class OaiServer:
             rec = self.snapshot.by_identifier(args["identifier"])
             if rec is None or rec.served_datestamp > now:
                 raise OaiProtocolError("idDoesNotExist", args["identifier"])
-        parts = ["<ListMetadataFormats>"]
-        for fmt in EXPORT_FORMATS:
-            parts.append(
-                "<metadataFormat>"
-                f"<metadataPrefix>{fmt}</metadataPrefix>"
-                f"<schema>urn:x-mdpipe:schema:{fmt}</schema>"
-                f"<metadataNamespace>urn:x-mdpipe:{fmt}</metadataNamespace>"
-                "</metadataFormat>")
-        parts.append("</ListMetadataFormats>")
-        return self._envelope("ListMetadataFormats", "".join(parts).encode(),
-                              now)
+        body = model.list_metadata_formats_xml(EXPORT_FORMATS, "urn:x-mdpipe")
+        return self._envelope("ListMetadataFormats", body.encode(), now)
 
     def _list_sets(self, now) -> bytes:
-        specs = self.snapshot.set_specs()
-        parts = ["<ListSets>"]
-        for spec in specs:
-            parts.append(f"<set><setSpec>{escape(spec)}</setSpec>"
-                         f"<setName>{escape(spec)}</setName></set>")
-        parts.append("</ListSets>")
-        return self._envelope("ListSets", "".join(parts).encode(), now)
+        body = model.list_sets_xml(
+            (spec, spec) for spec in self.snapshot.set_specs())
+        return self._envelope("ListSets", body.encode(), now)
 
     def _get_record(self, args, now) -> bytes:
         for required in ("identifier", "metadataPrefix"):
@@ -231,8 +203,8 @@ class OaiServer:
             rec, self.snapshot.header(rec.repo_identifier), prefix)
             + b"</GetRecord>")
         return self._envelope("GetRecord", body, now,
-                              {"identifier": args["identifier"],
-                               "metadataPrefix": prefix})
+                              (("identifier", args["identifier"]),
+                               ("metadataPrefix", prefix)))
 
     def _parse_window(self, args):
         bounds = {}
@@ -293,19 +265,16 @@ class OaiServer:
             state = {"prefix": prefix, "set": set_spec,
                      "from": format_datestamp(from_) if from_ else None,
                      "until": format_datestamp(until) if until else None}
-            token = self.mint_token(state, next_pos)
-            token_el = (
-                f'<resumptionToken completeListSize="{size}"'
-                f' cursor="{position}">{escape(token)}</resumptionToken>')
+            token_el = model.resumption_token_xml(
+                self.mint_token(state, next_pos), size, position)
         elif position > 0:
-            # closing empty token on the final page of a paged list
-            token_el = (f'<resumptionToken completeListSize="{size}"'
-                        f' cursor="{position}"></resumptionToken>')
+            # the empty token closes the final page of a paged list
+            token_el = model.resumption_token_xml("", size, position)
 
         body = f"<{verb}>".encode() + items + f"{token_el}</{verb}>".encode()
-        request_attrs = {"metadataPrefix": prefix} \
-            if "resumptionToken" not in args else {}
-        return self._envelope(verb, body, now, request_attrs)
+        echoed = (() if "resumptionToken" in args
+                  else (("metadataPrefix", prefix),))
+        return self._envelope(verb, body, now, echoed)
 
     # -- record serialization: the snapshot's header, then the export
 
@@ -350,3 +319,29 @@ class _ServerTransport:
 
     def get(self, url: str) -> bytes:
         return self.server.handle_url(url)
+
+
+def serve_http(answer: Callable[[str], tuple[int, bytes]],
+               port: int) -> http.server.ThreadingHTTPServer:
+    """An HTTP server on 127.0.0.1:``port`` (0 picks a free port) that
+    answers each GET with ``answer(path)``: a status and an XML body. An
+    answer that raises ConnectionError drops the connection unanswered. The
+    caller runs ``serve_forever`` and closes the server."""
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            try:
+                status, body = answer(self.path)
+            except ConnectionError:
+                self.connection.close()
+                return
+            self.send_response(status)
+            self.send_header("Content-Type", "text/xml; charset=utf-8")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, fmt, *args):
+            logger.debug(fmt, *args)
+
+    return http.server.ThreadingHTTPServer(("127.0.0.1", port), Handler)

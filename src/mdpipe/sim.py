@@ -4,16 +4,17 @@ Serves as ground truth for harvester, validator, and registry tests: the
 scenario's timeline of inserts/updates/deletes is the authoritative record
 set for any window, queryable directly so tests can assert completeness.
 Time never comes from the wall clock; a SimClock is injected everywhere.
+Responses are written with ``model``'s renderers, the ones the server
+uses, and ``server.serve_http`` serves a provider over HTTP.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
-from xml.sax.saxutils import escape, quoteattr
 
 from . import model
 from .errors import HttpStatusError, TimeRegression, TransportError
@@ -30,7 +31,7 @@ FAULTS = frozenset({
 SPLASH_URL = "http://content.sim.invalid/splash"
 
 
-class SimDisconnect(Exception):
+class SimDisconnect(ConnectionError):
     """Raised by the provider to model a dropped connection."""
 
 
@@ -266,6 +267,12 @@ class SimProvider:
     # ------------------------------------------------------------------
     # Request handling
 
+    def handle_url(self, url: str) -> tuple[int, bytes]:
+        """``handle`` of a request URL's query; a repeated argument counts
+        with its first value."""
+        query = parse_qs(urlsplit(url).query)
+        return self.handle({k: v[0] for k, v in query.items()})
+
     def handle(self, params: dict[str, str]) -> tuple[int, bytes]:
         verb = params.get("verb", "")
         page = self._page_of(params)
@@ -296,57 +303,29 @@ class SimProvider:
             return 1
 
     def _envelope(self, verb: str | None, body: str) -> bytes:
-        attrs = f" verb={quoteattr(verb)}" if verb else ""
-        return (
-            '<?xml version="1.0" encoding="UTF-8"?>'
-            f"<OAI-PMH xmlns={quoteattr(model.OAI_NS)}>"
-            f"<responseDate>{format_datestamp(self.clock.now())}"
-            "</responseDate>"
-            f"<request{attrs}>{escape(self.base_url)}</request>"
-            f"{body}</OAI-PMH>"
-        ).encode()
+        return model.response_xml(self.clock.now(), self.base_url, verb,
+                                  body.encode())
 
     def _error(self, code: str, message: str) -> bytes:
-        return self._envelope(
-            None, f"<error code={quoteattr(code)}>{escape(message)}</error>")
+        return self._envelope(None, model.error_xml(code, message))
 
     def _identify(self) -> bytes:
         events = [e.at for s in self.scenario.records for e in s.events]
         earliest = min(events) if events else self.clock.now()
         missing = self._fault_active("IdentifyMissingField", "Identify")
-        name_el = ("" if missing else
-                   f"<repositoryName>{escape(self.scenario.repository_name)}"
-                   "</repositoryName>")
-        body = (
-            "<Identify>"
-            f"{name_el}"
-            f"<baseURL>{escape(self.base_url)}</baseURL>"
-            "<protocolVersion>2.0</protocolVersion>"
-            "<adminEmail>sim@sim.invalid</adminEmail>"
-            f"<earliestDatestamp>{format_datestamp(earliest)}"
-            "</earliestDatestamp>"
-            f"<deletedRecord>{self.scenario.deleted_policy}</deletedRecord>"
-            f"<granularity>{model.GRANULARITY_SECOND}</granularity>"
-            "</Identify>")
-        return self._envelope("Identify", body)
+        return self._envelope("Identify", model.identify_xml(
+            None if missing else self.scenario.repository_name,
+            self.base_url, "sim@sim.invalid", format_datestamp(earliest),
+            self.scenario.deleted_policy))
 
     def _list_metadata_formats(self) -> bytes:
-        parts = ["<ListMetadataFormats>"]
-        for fmt in ("oai_dc", "nsdl_dc"):
-            parts.append(
-                "<metadataFormat>"
-                f"<metadataPrefix>{fmt}</metadataPrefix>"
-                f"<schema>urn:x-sim:schema:{fmt}</schema>"
-                f"<metadataNamespace>urn:x-sim:{fmt}</metadataNamespace>"
-                "</metadataFormat>")
-        parts.append("</ListMetadataFormats>")
-        return self._envelope("ListMetadataFormats", "".join(parts))
+        return self._envelope("ListMetadataFormats",
+                              model.list_metadata_formats_xml(
+                                  ("oai_dc", "nsdl_dc"), "urn:x-sim"))
 
     def _list_sets(self) -> bytes:
-        return self._envelope(
-            "ListSets",
-            "<ListSets><set><setSpec>sim</setSpec>"
-            "<setName>Everything</setName></set></ListSets>")
+        return self._envelope("ListSets",
+                              model.list_sets_xml((("sim", "Everything"),)))
 
     def _forgotten_deletes(self) -> bool:
         return any(e["spec"].fault == "ForgottenDeletes"
@@ -469,12 +448,10 @@ class SimProvider:
             next_token = self._mint_token(next_pos, from_, until)
             if self._fault_active("BrokenToken", "ListRecords", page):
                 next_token = "XX" + next_token[4:]
-            token_el = (
-                f'<resumptionToken completeListSize="{len(matches)}"'
-                f' cursor="{pos}">{escape(next_token)}</resumptionToken>')
+            token_el = model.resumption_token_xml(next_token, len(matches),
+                                                  pos)
         elif pos > 0:
-            token_el = (f'<resumptionToken completeListSize="{len(matches)}"'
-                        f' cursor="{pos}"></resumptionToken>')
+            token_el = model.resumption_token_xml("", len(matches), pos)
 
         body = f"<ListRecords>{''.join(items)}{token_el}</ListRecords>"
         response = self._envelope("ListRecords", body)
@@ -513,37 +490,10 @@ class SimTransport:
         self.provider = provider
 
     def get(self, url: str) -> bytes:
-        params = {k: v[0] for k, v in parse_qs(urlsplit(url).query).items()}
         try:
-            status, body = self.provider.handle(params)
+            status, body = self.provider.handle_url(url)
         except SimDisconnect as exc:
             raise TransportError(str(exc)) from exc
         if status != 200:
             raise HttpStatusError(status, body.decode("utf-8", "replace"))
         return body
-
-
-def serve_http(provider: SimProvider, port: int):
-    """Serve the simulator over loopback HTTP (manual exploration)."""
-    import http.server
-
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def do_GET(self):
-            params = {k: v[0]
-                      for k, v in parse_qs(urlsplit(self.path).query).items()}
-            try:
-                status, body = provider.handle(params)
-            except SimDisconnect:
-                self.connection.close()
-                return
-            self.send_response(status)
-            self.send_header("Content-Type", "text/xml; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", port), Handler)
-    return server

@@ -5,14 +5,15 @@ deterministic report. A provider must earn a passing verdict before a
 collection pointing at it can be registered. The walk is bounded (first
 pages plus one re-probe of the start page) so validation stays cheap even
 for large providers.
+
+Every probe after Identify, GetRecord included, reads its response through
+one ``_Walker.fetch``, and the walk files a page that fails to parse under
+the check it breaks (``_Walker.grade``).
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
-from datetime import timedelta
-from typing import Iterable
+from dataclasses import dataclass
 from urllib.parse import urlencode
 
 from . import model
@@ -24,8 +25,6 @@ from .errors import (
     WellFormednessError,
 )
 from .model import MetadataRecord, format_datestamp
-
-logger = logging.getLogger(__name__)
 
 CHECK_IDS = (
     "identify-well-formed",
@@ -40,6 +39,9 @@ CHECK_IDS = (
 
 ERROR = "Error"
 WARNING = "Warning"
+
+#: what a probe raises; a page that fails to parse raises a ValueError
+_PROBE_ERRORS = (TransportError, OaiProtocolError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,8 @@ def check_record(record: MetadataRecord) -> list[CheckResult]:
 
 
 class _Walker:
-    """Collects findings across a bounded ListRecords walk."""
+    """Collects findings across a bounded ListRecords walk and the probes
+    after it."""
 
     def __init__(self, transport, base_url: str, format_prefix: str):
         self.transport = transport
@@ -124,38 +127,44 @@ class _Walker:
     def has_failed(self, check_id: str) -> bool:
         return any(cid == check_id for cid, _ in self._failed)
 
-    def fetch_raw(self, params: dict[str, str]) -> bytes:
-        return self.transport.get(f"{self.base_url}?{urlencode(params)}")
+    def fetch(self, params: dict[str, str]) -> model.ListResponse:
+        """One probe: the request for ``params``, parsed."""
+        raw = self.transport.get(f"{self.base_url}?{urlencode(params)}")
+        return model.parse_list_response(raw, self.prefix)
 
-    def parse_page(self, raw: bytes):
-        """Grade one raw page; returns the parsed page or None."""
+    def first_page(self, params: dict[str, str]) -> list[str]:
+        """The identifiers on a list's first page; none on noRecordsMatch."""
         try:
-            model.validate_utf8(raw)
-        except WellFormednessError as exc:
-            self.fail("utf8-strict", str(exc))
-            return None
-        try:
-            return model.parse_list_response(raw, self.prefix)
-        except WellFormednessError as exc:
-            self.fail("schema-valid", f"not well-formed XML: {exc}")
-        except BadRecordDatestamp as exc:
+            page = self.fetch(params)
+        except OaiProtocolError as exc:
+            if exc.code == "noRecordsMatch":
+                return []
+            raise
+        return [rec.header.identifier for rec in page.records]
+
+    def grade(self, exc: ValueError) -> None:
+        """File a page that failed to parse under the check it breaks.
+        ``read_xml`` chains the UnicodeDecodeError of invalid UTF-8."""
+        if isinstance(exc, BadRecordDatestamp):
             if model.is_day_granularity(exc.datestamp_text):
                 self.fail("datestamp-format",
                           f"day-granularity datestamp on {exc.identifier}",
                           severity=WARNING)
             else:
                 self.fail("datestamp-format", str(exc))
-        except SchemaViolation as exc:
+        elif isinstance(exc.__cause__, UnicodeDecodeError):
+            self.fail("utf8-strict", str(exc))
+        elif isinstance(exc, WellFormednessError):
+            self.fail("schema-valid", f"not well-formed XML: {exc}")
+        else:
             self.fail("schema-valid", str(exc))
-        return None
 
     def walk(self, params: dict[str, str], max_pages: int) -> list[str]:
         """Follow a token chain, grading pages; returns identifiers seen."""
         seen: list[str] = []
         while self.pages < max_pages:
-            raw = self.fetch_raw(params)
             try:
-                page = self.parse_page(raw)
+                page = self.fetch(params)
             except OaiProtocolError as exc:
                 resuming = "resumptionToken" in params
                 if resuming and exc.code in ("badResumptionToken",
@@ -166,9 +175,11 @@ class _Walker:
                     self.fail("schema-valid",
                               f"unexpected protocol error: {exc}")
                 return seen
-            self.pages += 1
-            if page is None:
+            except (WellFormednessError, SchemaViolation) as exc:
+                self.pages += 1
+                self.grade(exc)
                 return seen
+            self.pages += 1
             for rec in page.records:
                 self.records_checked += 1
                 seen.append(rec.header.identifier)
@@ -252,8 +263,6 @@ def validate_provider(base_url: str, transport,
                                 transport_error=str(exc),
                                 pages_walked=walker.pages,
                                 records_checked=walker.records_checked)
-    except OaiProtocolError as exc:
-        walker.fail("schema-valid", f"unexpected protocol error: {exc}")
 
     checks.extend(walker.findings)
     failed_or_warned = {(c.check_id, c.severity) for c in checks}
@@ -268,43 +277,29 @@ def validate_provider(base_url: str, transport,
 
 def _check_token_roundtrip(walker: _Walker, prefix: str) -> None:
     try:
-        raw = walker.fetch_raw({"verb": "ListRecords",
-                                "metadataPrefix": prefix})
-        page = model.parse_list_response(raw, prefix)
-    except Exception as exc:
+        page = walker.fetch({"verb": "ListRecords", "metadataPrefix": prefix})
+    except _PROBE_ERRORS as exc:
         walker.fail("token-roundtrip", f"could not re-fetch page 1: {exc}")
         return
     if page.token is None or page.token.is_final:
         return  # single-page list: nothing to round-trip
     try:
-        raw2 = walker.fetch_raw({"verb": "ListRecords",
-                                 "resumptionToken": page.token.token})
-        model.parse_list_response(raw2, prefix)
+        walker.fetch({"verb": "ListRecords",
+                      "resumptionToken": page.token.token})
     except OaiProtocolError as exc:
         walker.fail("token-roundtrip",
                     f"fresh token rejected with {exc.code}")
-    except Exception as exc:
+    except _PROBE_ERRORS as exc:
         walker.fail("token-roundtrip", f"token resume failed: {exc}")
 
 
 def _check_window_idempotency(walker: _Walker, prefix: str, earliest) -> None:
     window = {"verb": "ListRecords", "metadataPrefix": prefix,
               "from": format_datestamp(earliest)}
-
-    def first_page_idents():
-        try:
-            raw = walker.fetch_raw(window)
-            page = model.parse_list_response(raw, prefix)
-            return [r.header.identifier for r in page.records]
-        except OaiProtocolError as exc:
-            if exc.code == "noRecordsMatch":
-                return []
-            raise
-
     try:
-        first = first_page_idents()
-        second = first_page_idents()
-    except Exception as exc:
+        first = walker.first_page(window)
+        second = walker.first_page(window)
+    except _PROBE_ERRORS as exc:
         walker.fail("window-idempotency", f"windowed request failed: {exc}")
         return
     if first != second:
@@ -320,33 +315,27 @@ def _check_deleted_policy(walker: _Walker, info, prefix: str) -> None:
     tombstones = [r for r in walker.records if r.header.deleted]
     if not tombstones:
         return
-    probe = tombstones[0]
-    stamp = format_datestamp(probe.header.datestamp)
+    ident = tombstones[0].header.identifier
+    stamp = format_datestamp(tombstones[0].header.datestamp)
     try:
-        raw = walker.fetch_raw({"verb": "ListRecords",
-                                "metadataPrefix": prefix,
-                                "from": stamp, "until": stamp})
-        page = model.parse_list_response(raw, prefix)
-        windowed_ids = {r.header.identifier for r in page.records}
-    except OaiProtocolError as exc:
-        windowed_ids = set() if exc.code == "noRecordsMatch" else None
-    except Exception:
-        windowed_ids = None
-    if windowed_ids is not None and probe.header.identifier not in windowed_ids:
+        windowed = walker.first_page({"verb": "ListRecords",
+                                      "metadataPrefix": prefix,
+                                      "from": stamp, "until": stamp})
+    except _PROBE_ERRORS:
+        windowed = None     # an unreadable window gives no verdict
+    if windowed is not None and ident not in windowed:
         walker.fail("deleted-policy",
-                    f"tombstone {probe.header.identifier} missing from the "
-                    "date window containing its datestamp despite a "
-                    "persistent deleted-record policy")
+                    f"tombstone {ident} missing from the date window "
+                    "containing its datestamp despite a persistent "
+                    "deleted-record policy")
         return
     try:
-        raw = walker.fetch_raw({"verb": "GetRecord",
-                                "identifier": probe.header.identifier,
-                                "metadataPrefix": prefix})
-        model.parse_record(raw, prefix)
+        walker.fetch({"verb": "GetRecord", "identifier": ident,
+                      "metadataPrefix": prefix})
     except OaiProtocolError as exc:
         if exc.code == "idDoesNotExist":
             walker.fail("deleted-policy",
-                        f"GetRecord denies {probe.header.identifier} exists "
-                        "despite a persistent deleted-record policy")
-    except Exception:
-        pass
+                        f"GetRecord denies {ident} exists despite a "
+                        "persistent deleted-record policy")
+    except _PROBE_ERRORS:
+        pass    # an unreadable GetRecord gives no verdict

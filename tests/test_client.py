@@ -22,6 +22,7 @@ from mdpipe.errors import (
     TransportError,
     WellFormednessError,
 )
+from mdpipe.server import serve_http
 
 UTC = timezone.utc
 BASE = "http://test.invalid/oai"
@@ -167,6 +168,14 @@ def test_harvest_empty_closing_token_terminates():
     assert result.success and len(result.records) == 2
 
 
+def test_harvest_non_integer_cursor_is_data_format():
+    page = _page_xml(["oai:t:1"], token="tok1").replace(
+        b"<resumptionToken>", b'<resumptionToken cursor="x">')
+    result = _client([page]).harvest(BASE, "oai_dc")
+    assert not result.success
+    assert result.category is FailureCategory.DATA_FORMAT
+
+
 def test_harvest_no_records_match_is_empty_success():
     result = _client([_error_xml("noRecordsMatch")]).harvest(BASE, "oai_dc")
     assert result.success and result.records == ()
@@ -233,7 +242,7 @@ def serve(monkeypatch):
     servers = []
 
     def start(provider):
-        server = sim.serve_http(provider, 0)
+        server = serve_http(provider.handle_url, 0)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         servers.append(server)
         return f"http://127.0.0.1:{server.server_address[1]}/oai"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdpipe import model
 from mdpipe.errors import (
+    PROTOCOL_ERROR_CODES,
     ExcessPrecision,
     MalformedDatestamp,
     NonUtc,
@@ -245,6 +246,22 @@ def test_overlong_utf8_rejected_with_byte_offset():
     with pytest.raises(WellFormednessError) as e:
         parse_list_response(bad)
     assert e.value.byte_offset == bad.index(b"\xc0")
+
+
+def test_multi_line_break_reports_byte_offset():
+    # line 3 starts at byte 24; expat flags column 5 of it
+    with pytest.raises(WellFormednessError) as e:
+        parse_list_response(
+            b"<OAI-PMH>\n<ListRecords>\n<x></y></ListRecords></OAI-PMH>")
+    assert e.value.byte_offset == 29
+
+
+@pytest.mark.parametrize("attrs", [' cursor="x"', ' completeListSize="1.5"',
+                                   ' completeListSize="10" cursor=""'])
+def test_non_integer_token_count_is_schema_violation(attrs):
+    data = _wrap_list(_record_xml("oai:x:1"), token="t", token_attrs=attrs)
+    with pytest.raises(SchemaViolation, match="not an integer"):
+        parse_list_response(data)
 
 
 def test_protocol_error_element():
@@ -581,3 +598,31 @@ def test_parse_identify_missing_repository_name():
     ).encode()
     with pytest.raises(SchemaViolation):
         model.parse_identify(data)
+
+
+# ---------------------------------------------------------------------------
+# Response renderers, read back by the parser
+
+_WIRE_TEXT = st.text(st.sampled_from("&<>\"' aZ09é€😀") | st.characters(
+    blacklist_categories=("Cs", "Cc", "Cn")), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=_WIRE_TEXT, size=st.integers(0, 10**9),
+       cursor=st.integers(0, 10**9), base_url=_WIRE_TEXT,
+       prefix=_WIRE_TEXT, code=st.sampled_from(sorted(PROTOCOL_ERROR_CODES)),
+       message=_WIRE_TEXT)
+def test_rendered_responses_parse_back(token, size, cursor, base_url, prefix,
+                                       code, message):
+    now = datetime(2006, 1, 25, 12, tzinfo=UTC)
+    body = ("<ListRecords>"
+            f"{model.resumption_token_xml(token, size, cursor)}"
+            "</ListRecords>").encode()
+    page = parse_list_response(model.response_xml(
+        now, base_url, "ListRecords", body, (("metadataPrefix", prefix),)))
+    assert page.response_date == now
+    assert page.token == model.ResumptionToken(token, size, cursor)
+    with pytest.raises(OaiProtocolError) as e:
+        parse_list_response(model.response_xml(
+            now, base_url, None, model.error_xml(code, message).encode()))
+    assert (e.value.code, e.value.message) == (code, message)

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import threading
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdpipe import model
-from mdpipe.client import OaiClient
+from mdpipe.client import HttpTransport, OaiClient
 from mdpipe.ingest import TransformConfig, build_db_insert, safe_transform
 from mdpipe.model import DcElement, MetadataRecord, RecordHeader
 from mdpipe.repository import (
@@ -20,7 +21,7 @@ from mdpipe.repository import (
     SnapshotManifest,
     StoredRecord,
 )
-from mdpipe.server import OaiServer, ServerConfig
+from mdpipe.server import OaiServer, ServerConfig, serve_http
 
 UTC = timezone.utc
 CFG = TransformConfig.default()
@@ -306,7 +307,7 @@ def test_publish_invalidates_outstanding_tokens(server):
 
 
 # ---------------------------------------------------------------------------
-# Self-harvest through the loopback transport
+# Self-harvest through the loopback transport and over HTTP
 
 
 def test_client_can_harvest_this_server(server):
@@ -315,6 +316,23 @@ def test_client_can_harvest_this_server(server):
     assert result.success
     assert len(result.records) == 26
     assert result.pages_fetched == 3
+
+
+def test_serve_oai_over_http_equals_in_process_harvest(server, monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    httpd = serve_http(lambda path: (200, server.handle_url(path)), 0)
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    base = f"http://127.0.0.1:{httpd.server_address[1]}/oai"
+    try:
+        over_http = OaiClient(transport=HttpTransport(),
+                              sleep=lambda s: None).harvest(base, "oai_dc")
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+    in_process = OaiClient(transport=server.transport(),
+                           sleep=lambda s: None).harvest(base, "oai_dc")
+    assert over_http.success and len(over_http.records) == 26
+    assert over_http == in_process
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,22 @@
 """Provider simulator: ground truth, clock discipline, and every fault's
 documented diagnosis."""
 
+import hashlib
+import re
 from datetime import datetime, timedelta, timezone
+from urllib.parse import urlencode
+from xml.sax.saxutils import unescape
 
 import pytest
 
 from mdpipe import model, sim
 from mdpipe.client import OaiClient
-from mdpipe.errors import FailureCategory, SchemaViolation, TimeRegression
+from mdpipe.errors import (
+    FailureCategory,
+    SchemaViolation,
+    TimeRegression,
+    TransportError,
+)
 from mdpipe.model import DcElement
 from mdpipe.sim import (
     FaultSpec,
@@ -247,3 +256,72 @@ def test_forgotten_deletes_get_record_claims_nonexistence():
         {"verb": "GetRecord", "identifier": "oai:sim:0003",
          "metadataPrefix": "oai_dc"})
     assert b"idDoesNotExist" in body
+
+
+# ---------------------------------------------------------------------------
+# Served bytes, pinned
+
+_TOKEN_RE = re.compile(rb"<resumptionToken[^>]*>([^<]+)</resumptionToken>")
+
+# SHA-256 of every response of the walk below, in order
+PINNED_SHA256 = (
+    "92722ef1a5366f54d3462f28d94c3e13fbc2b29f4416dffa4bf8ffaa71332d7a")
+
+
+def _pinned_scenario(prefix, policy, faults):
+    scripts = list(make_scenario(9).records)
+    victim = scripts[2]
+    scripts[2] = SimRecordScript(victim.identifier, victim.events + (
+        TimelineEvent(START + timedelta(days=2), "delete"),))
+    scripts.append(SimRecordScript("oai:sim:&<\"'é", (TimelineEvent(
+        START + timedelta(days=3), "insert",
+        (DcElement("title", "A & <B> \"c\" 'd' é"),
+         DcElement("subject", "s", qualifier="q&", scheme="<S>",
+                   language="é"))),)))
+    return SimScenario(records=tuple(scripts), deleted_policy=policy,
+                       page_size=4, faults=faults, format_prefix=prefix,
+                       repository_name="Sim & <\"Co\">")
+
+
+def _pinned_walk(provider, hasher):
+    transport = SimTransport(provider)
+
+    def ask(params):
+        url = f"{BASE}?{urlencode(params)}"
+        try:
+            body = transport.get(url)
+        except TransportError as exc:
+            body = repr(exc).encode()
+        hasher.update(url.encode() + b"\0" + body + b"\0")
+        return body
+
+    for verb in ("Identify", "ListMetadataFormats", "ListSets", "Nope"):
+        ask({"verb": verb})
+    prefix = provider.scenario.format_prefix
+    for window in ({}, {"from": "2005-01-01T00:04:00Z"},
+                   {"from": "2030-01-01T00:00:00Z"}, {"from": "bad"}):
+        body = ask({"verb": "ListRecords", "metadataPrefix": prefix,
+                    **window})
+        while match := _TOKEN_RE.search(body):
+            body = ask({"verb": "ListRecords",
+                        "resumptionToken": unescape(match.group(1).decode())})
+    for ident in ("oai:sim:0000", "oai:sim:0002", "oai:sim:&<\"'é",
+                  "oai:nowhere:0"):
+        ask({"verb": "GetRecord", "identifier": ident,
+             "metadataPrefix": prefix})
+
+
+def test_sim_bytes_pinned():
+    hasher = hashlib.sha256()
+    fault_sets = [()] + [(FaultSpec(f),) for f in sorted(sim.FAULTS)] + [
+        (FaultSpec("BrokenToken", page=2), FaultSpec("WrongDatestamp")),
+        (FaultSpec("InvalidUtf8", page=2, payload=b"\xff"),
+         FaultSpec("Http5xx", count=1))]
+    for prefix in ("oai_dc", "nsdl_dc"):
+        for policy in ("persistent", "transient"):
+            for faults in fault_sets:
+                provider = SimProvider(
+                    _pinned_scenario(prefix, policy, faults), SimClock(NOW),
+                    base_url="http://sim.invalid/oai?a=1&b=<2>")
+                _pinned_walk(provider, hasher)
+    assert hasher.hexdigest() == PINNED_SHA256

@@ -1,9 +1,12 @@
 """Provider validation: each injected fault trips exactly its named check."""
 
+import hashlib
+import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from mdpipe import model, sim
 from mdpipe.sim import (
     FaultSpec,
     SimClock,
@@ -97,14 +100,55 @@ def test_forgotten_deletes_fails_deleted_policy():
     assert "deleted-policy" in report.failed_checks()
 
 
-def test_honest_deletes_pass_deleted_policy():
+def _tombstone_scenario(**kwargs):
     scripts = list(make_scenario(10).records)
     victim = scripts[3]
     scripts[3] = SimRecordScript(victim.identifier, victim.events + (
         TimelineEvent(START + timedelta(days=3), "delete"),))
-    report = _report(SimScenario(records=tuple(scripts),
-                                 deleted_policy="persistent", page_size=10))
+    return SimScenario(records=tuple(scripts), **kwargs)
+
+
+def test_honest_deletes_pass_deleted_policy():
+    report = _report(_tombstone_scenario(deleted_policy="persistent",
+                                         page_size=10))
     assert report.verdict == "Pass"
+
+
+class _Rewriting:
+    """A transport over the simulator that rewrites each response with
+    ``rewrite(url, body)`` and keeps the URLs asked for."""
+
+    def __init__(self, scenario, rewrite=lambda url, body: body):
+        self.inner = SimTransport(SimProvider(scenario, SimClock(NOW)))
+        self.rewrite = rewrite
+        self.urls = []
+
+    def get(self, url):
+        self.urls.append(url)
+        return self.rewrite(url, self.inner.get(url))
+
+
+def test_get_record_denying_a_tombstone_fails_deleted_policy():
+    denial = (f'<?xml version="1.0" encoding="UTF-8"?>'
+              f'<OAI-PMH xmlns="{model.OAI_NS}">'
+              "<responseDate>2005-02-01T00:00:00Z</responseDate>"
+              f"<request>{BASE}</request>"
+              '<error code="idDoesNotExist">no such record</error>'
+              "</OAI-PMH>").encode()
+    transport = _Rewriting(
+        _tombstone_scenario(deleted_policy="persistent", page_size=10),
+        lambda url, body: denial if "verb=GetRecord" in url else body)
+    report = validate_provider(BASE, transport)
+    assert report.failed_checks() == ("deleted-policy",)
+    assert "GetRecord denies oai:sim:0003" in next(
+        c.detail for c in report.checks if c.check_id == "deleted-policy")
+
+
+def test_non_integer_cursor_fails_schema_valid():
+    transport = _Rewriting(make_scenario(25), lambda url, body: body.replace(
+        b'cursor="0"', b'cursor="x"'))
+    report = validate_provider(BASE, transport)
+    assert "schema-valid" in report.failed_checks()
 
 
 def test_bad_identifier_fails_identifier_encoding():
@@ -129,3 +173,25 @@ def test_to_dict_round_trips_fields():
     assert d["verdict"] == "Pass"
     assert len(d["checks"]) == len(CHECK_IDS)
     assert d["transport_error"] is None
+
+
+# SHA-256 of each report's to_dict() and the URLs it asked for, over the
+# matrix below
+PINNED_SHA256 = (
+    "90402dbe0687196e624dcce0702e84ec7eac66a033f99f5528c55dd1fc720223")
+
+
+def test_validator_reports_pinned():
+    hasher = hashlib.sha256()
+    fault_sets = [()] + [(FaultSpec(f),) for f in sorted(sim.FAULTS)] + [
+        (FaultSpec(f, verb="ListRecords", page=2),) for f in sorted(sim.FAULTS)]
+    for faults in fault_sets:
+        for policy in ("persistent", "transient"):
+            for max_pages in (30, 1):
+                transport = _Rewriting(_tombstone_scenario(
+                    deleted_policy=policy, page_size=4, faults=faults))
+                report = validate_provider(BASE, transport,
+                                           max_pages=max_pages)
+                hasher.update(json.dumps([report.to_dict(), transport.urls],
+                                         sort_keys=True).encode())
+    assert hasher.hexdigest() == PINNED_SHA256
