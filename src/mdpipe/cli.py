@@ -6,16 +6,22 @@ validate, register, harvest, serve, index, search — composes across
 separate commands. Commands exit 0 on success, 1 when the requested
 operation ran but failed (validation verdict, harvest failure), and 2 on
 usage or configuration errors.
+
+Each state directory has one writer: a writing command holds an exclusive
+``flock`` on it until ``main`` returns, and a second writer exits 2. Readers
+take no lock, as ``repository.json`` is replaced atomically. POSIX-only.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import logging
 import math
 import os
 import sys
+from contextlib import closing
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -72,22 +78,37 @@ def load_config(path: str | None) -> dict:
     return config
 
 
-class State:
-    """Lazy-loaded persistent state for one invocation."""
+WRITING_COMMANDS = frozenset({"register", "harvest", "pipeline", "ingest"})
 
-    def __init__(self, config: dict):
+
+class State:
+    """Lazy-loaded persistent state for one invocation. A writing state
+    holds the state directory's exclusive lock until ``close``."""
+
+    def __init__(self, config: dict, writes: bool):
         self.config = config
         self.state_dir = Path(config["state_dir"])
+        self.repository_path = self.state_dir / "repository.json"
         self._repository = None
         self._registry = None
+        self._lock_fd = None
+        if writes:
+            try:
+                self.state_dir.mkdir(parents=True, exist_ok=True)
+                self._lock_fd = os.open(self.state_dir, os.O_RDONLY)
+                fcntl.flock(self._lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                self.close()
+                raise SystemExit(f"state directory {self.state_dir} is in "
+                                 "use by another writing command")
+            except OSError as exc:
+                self.close()
+                raise SystemExit(f"cannot lock state directory: {exc}")
 
-    @property
-    def repository_path(self) -> Path:
-        return self.state_dir / "repository.json"
-
-    @property
-    def registry_path(self) -> Path:
-        return self.state_dir / "registry.jsonl"
+    def close(self) -> None:
+        """Release the state directory's lock, if this state holds it."""
+        if self._lock_fd is not None:
+            os.close(self._lock_fd)
 
     @property
     def repository(self) -> Repository:
@@ -103,13 +124,11 @@ class State:
     @property
     def registry(self) -> Registry:
         if self._registry is None:
-            self._registry = Registry.replay(self.registry_path)
+            self._registry = Registry.replay(self.state_dir / "registry.jsonl")
         return self._registry
 
     def save(self) -> None:
-        self.state_dir.mkdir(parents=True, exist_ok=True)
-        if self._repository is not None:
-            self._repository.save(self.repository_path)
+        self.repository.save(self.repository_path)
 
 
 def _parse_datestamp(value: str, option: str) -> datetime:
@@ -183,7 +202,6 @@ def cmd_register(args, state: State) -> int:
         format_prefix=args.format, set_spec=args.set,
         deleted_policy=args.policy, title=args.title or args.collection_id,
         native_public=not args.native_private)
-    state.state_dir.mkdir(parents=True, exist_ok=True)
     try:
         repo_id = state.registry.register_collection(
             config, report, state.repository, now)
@@ -211,7 +229,6 @@ def cmd_harvest(args, state: State) -> int:
         _emit(args, {"error": str(exc)}, [f"unknown collection: {exc}"])
         return 2
     if outcome.attempt.success:
-        state.repository.publish(now)
         state.save()
     attempt = outcome.attempt
     payload = {
@@ -282,7 +299,6 @@ def cmd_ingest(args, state: State) -> int:
     except UnknownCollection as exc:
         _emit(args, {"error": str(exc)}, [f"unknown collection: {exc}"])
         return 2
-    state.repository.publish(now)
     state.save()
     _emit(args, {"inserted": minted},
           [f"inserted {len(minted)} records from {args.file}"])
@@ -415,12 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario")
     p.add_argument("--at")
 
-    p = add("harvest", cmd_harvest, "harvest one collection and publish")
+    p = add("harvest", cmd_harvest, "harvest one collection")
     p.add_argument("--collection-id", required=True)
     p.add_argument("--scenario")
     p.add_argument("--at")
 
-    p = add("pipeline", cmd_pipeline, "harvest everything due and publish")
+    p = add("pipeline", cmd_pipeline, "harvest every due collection")
     p.add_argument("--scenario")
     p.add_argument("--at")
 
@@ -469,13 +485,9 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        config = load_config(args.config)
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    state = State(config)
-    try:
-        return args.func(args, state)
+        with closing(State(load_config(args.config),
+                           args.command in WRITING_COMMANDS)) as state:
+            return args.func(args, state)
     except SystemExit as exc:
         print(exc, file=sys.stderr)
         return 2

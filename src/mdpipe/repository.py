@@ -3,8 +3,9 @@ derived export formats, postdated served-datestamps, and staging-to-serving
 snapshot promotion.
 
 Storage is an in-process ordered map persisted as a JSON state file in the
-data directory; no external database is involved. Writes serialize through
-one lock; published snapshots are immutable.
+data directory; no external database is involved. A repository is used from
+one thread, and ``cli.State`` gives each state directory one writer process;
+published snapshots are immutable.
 
 Each record's five export payloads are a pure function of its normalized
 elements, its original bytes, ``native_public`` and its collection's repo
@@ -30,7 +31,6 @@ import base64
 import hashlib
 import json
 import os
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
@@ -178,16 +178,16 @@ _SEARCH_OPEN = f"<search xmlns={quoteattr(SEARCH_NS)}><nsdl_dc>".encode()
 
 
 def build_links(is_collection: bool, collection_id: str,
-                collection_repo_id: str | None) -> bytes:
+                collection_record_id: str | None) -> bytes:
     """Membership payload: exactly one item-to-collection relation.
 
     Collection-description records emit no relation (no self-membership).
     """
     if is_collection:
         return _LINKS_EMPTY
-    if collection_repo_id is None:
+    if collection_record_id is None:
         raise MissingCollectionRecord(collection_id)
-    return (f"{_LINKS_OPEN}{escape(collection_repo_id)}</memberOf></links>"
+    return (f"{_LINKS_OPEN}{escape(collection_record_id)}</memberOf></links>"
             .encode())
 
 
@@ -232,9 +232,7 @@ class Repository:
                  postdate_offset: timedelta = DEFAULT_POSTDATE_OFFSET):
         self.domain = domain
         self.postdate_offset = postdate_offset
-        self._lock = threading.RLock()
         self._records: dict[str, StoredRecord] = {}
-        self._by_source: dict[tuple[str, str], str] = {}
         self._collections: dict[str, str] = {}   # collection_id -> repo_id
 
     # -- identifiers
@@ -243,90 +241,83 @@ class Repository:
         digest = hashlib.md5(source_identifier.encode("utf-8")).hexdigest()
         return f"oai:{self.domain}:{collection_id}/{digest}"
 
-    def collection_repo_id(self, collection_id: str) -> str | None:
-        return self._collections.get(collection_id)
-
-    # -- writes (single writer: every mutation takes the lock)
+    # -- writes
 
     def register_collection_record(self, collection_id: str,
                                    elements: tuple[DcElement, ...],
                                    now: datetime) -> str:
         """Store the collection-description record; it is the target of
         membership links for every item in the collection."""
-        with self._lock:
-            repo_id = f"oai:{self.domain}:collections/{collection_id}"
-            rows = tuple(elements)
-            raw = model.serialize_dc_payload("nsdl_dc", rows)
-            self._records[repo_id] = StoredRecord(
-                repo_identifier=repo_id,
-                collection_id=collection_id,
-                source_identifier=repo_id,
-                original_raw=raw,
-                original_format="nsdl_dc",
-                provider_datestamp=now,
-                normalized_rows=rows,
-                served_datestamp=now + self.postdate_offset,
-                is_collection=True,
-                exports=_build_exports(
-                    rows, raw, "nsdl_dc", True,
-                    build_links(True, collection_id, None)),
-            )
-            self._by_source[(collection_id, repo_id)] = repo_id
-            self._collections[collection_id] = repo_id
-            return repo_id
+        repo_id = f"oai:{self.domain}:collections/{collection_id}"
+        rows = tuple(elements)
+        raw = model.serialize_dc_payload("nsdl_dc", rows)
+        self._records[repo_id] = StoredRecord(
+            repo_identifier=repo_id,
+            collection_id=collection_id,
+            source_identifier=repo_id,
+            original_raw=raw,
+            original_format="nsdl_dc",
+            provider_datestamp=now,
+            normalized_rows=rows,
+            served_datestamp=now + self.postdate_offset,
+            is_collection=True,
+            exports=_build_exports(
+                rows, raw, "nsdl_dc", True,
+                build_links(True, collection_id, None)),
+        )
+        self._collections[collection_id] = repo_id
+        return repo_id
 
     def insert(self, doc: ingest.DbInsertDocument, now: datetime,
                native_public: bool = True) -> list[str]:
         """Store each entry; re-insert of an existing source record replaces
         content and refreshes the served datestamp."""
-        with self._lock:
-            if doc.collection_id not in self._collections:
-                raise UnknownCollection(doc.collection_id)
-            links = build_links(False, doc.collection_id,
-                                self._collections[doc.collection_id])
-            minted = []
-            for entry in doc.entries:
-                original = entry.original
-                source_id = original.header.identifier
-                repo_id = self.mint_identifier(doc.collection_id, source_id)
-                violations = ingest.validate_normalized(entry.normalized)
-                rows = tuple(entry.normalized.elements)
-                self._records[repo_id] = StoredRecord(
-                    repo_identifier=repo_id,
-                    collection_id=doc.collection_id,
-                    source_identifier=source_id,
-                    original_raw=original.raw_xml,
-                    original_format=original.format_prefix,
-                    provider_datestamp=original.header.datestamp,
-                    normalized_rows=rows,
-                    served_datestamp=now + self.postdate_offset,
-                    native_public=native_public,
-                    schema_warning=bool(violations),
-                    exports=_build_exports(
-                        rows, original.raw_xml, original.format_prefix,
-                        native_public, links),
-                )
-                self._by_source[(doc.collection_id, source_id)] = repo_id
-                minted.append(repo_id)
-            return minted
+        if doc.collection_id not in self._collections:
+            raise UnknownCollection(doc.collection_id)
+        links = build_links(False, doc.collection_id,
+                            self._collections[doc.collection_id])
+        minted = []
+        for entry in doc.entries:
+            original = entry.original
+            source_id = original.header.identifier
+            repo_id = self.mint_identifier(doc.collection_id, source_id)
+            violations = ingest.validate_normalized(entry.normalized)
+            rows = tuple(entry.normalized.elements)
+            self._records[repo_id] = StoredRecord(
+                repo_identifier=repo_id,
+                collection_id=doc.collection_id,
+                source_identifier=source_id,
+                original_raw=original.raw_xml,
+                original_format=original.format_prefix,
+                provider_datestamp=original.header.datestamp,
+                normalized_rows=rows,
+                served_datestamp=now + self.postdate_offset,
+                native_public=native_public,
+                schema_warning=bool(violations),
+                exports=_build_exports(
+                    rows, original.raw_xml, original.format_prefix,
+                    native_public, links),
+            )
+            minted.append(repo_id)
+        return minted
 
     def mark_deleted(self, repo_identifier: str, now: datetime) -> None:
         """Tombstone a record: payloads dropped, header retained forever."""
-        with self._lock:
-            record = self._records.get(repo_identifier)
-            if record is None:
-                raise UnknownIdentifier(repo_identifier)
-            self._records[repo_identifier] = replace(
-                record,
-                deleted=True,
-                served_datestamp=now + self.postdate_offset,
-                exports={},
-            )
+        record = self._records.get(repo_identifier)
+        if record is None:
+            raise UnknownIdentifier(repo_identifier)
+        self._records[repo_identifier] = replace(
+            record,
+            deleted=True,
+            served_datestamp=now + self.postdate_offset,
+            exports={},
+        )
 
     def delete_by_source(self, collection_id: str, source_identifier: str,
                          now: datetime) -> None:
-        repo_id = self._by_source.get((collection_id, source_identifier))
-        if repo_id is None:
+        """Tombstone the item ``insert`` stored for this source record."""
+        repo_id = self.mint_identifier(collection_id, source_identifier)
+        if repo_id not in self._records:
             raise UnknownIdentifier(f"{collection_id}/{source_identifier}")
         self.mark_deleted(repo_id, now)
 
@@ -348,28 +339,27 @@ class Repository:
     # -- publish
 
     def publish(self, now: datetime) -> ServingSnapshot:
-        """Atomically promote staging to an immutable serving snapshot."""
-        with self._lock:
-            records = tuple(sorted(
-                self._records.values(),
-                key=lambda r: (r.served_datestamp, r.repo_identifier)))
-            hasher = hashlib.sha256()
-            for r in records:
-                hasher.update(r.repo_identifier.encode())
-                hasher.update(format_datestamp(r.served_datestamp).encode())
-                hasher.update(b"1" if r.deleted else b"0")
-                for fmt in EXPORT_FORMATS:
-                    hasher.update(r.exports.get(fmt, b""))
-            checksum = hasher.hexdigest()
-            return ServingSnapshot(
-                records=records,
-                snapshot_id=checksum[:16],
-                manifest=SnapshotManifest(
-                    record_count=len(records),
-                    published_at=now,
-                    checksum=checksum,
-                ),
-            )
+        """Promote staging to an immutable serving snapshot."""
+        records = tuple(sorted(
+            self._records.values(),
+            key=lambda r: (r.served_datestamp, r.repo_identifier)))
+        hasher = hashlib.sha256()
+        for r in records:
+            hasher.update(r.repo_identifier.encode())
+            hasher.update(format_datestamp(r.served_datestamp).encode())
+            hasher.update(b"1" if r.deleted else b"0")
+            for fmt in EXPORT_FORMATS:
+                hasher.update(r.exports.get(fmt, b""))
+        checksum = hasher.hexdigest()
+        return ServingSnapshot(
+            records=records,
+            snapshot_id=checksum[:16],
+            manifest=SnapshotManifest(
+                record_count=len(records),
+                published_at=now,
+                checksum=checksum,
+            ),
+        )
 
     # -- persistence
 
@@ -379,20 +369,18 @@ class Repository:
         one."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            state = {
-                "version": STATE_VERSION,
-                "domain": self.domain,
-                "postdate_offset_seconds": int(
-                    self.postdate_offset.total_seconds()),
-                "collections": dict(self._collections),
-                "records": [_record_to_json(r) for r in self._records.values()],
-            }
+        state = {
+            "version": STATE_VERSION,
+            "domain": self.domain,
+            "postdate_offset_seconds": int(
+                self.postdate_offset.total_seconds()),
+            "collections": dict(self._collections),
+            "records": [_record_to_json(r) for r in self._records.values()],
+        }
         data = json.dumps(state).encode()
-        # one temp name per writer, next to the target so that the replace
+        # one temp name per process, next to the target so that the replace
         # stays on one file system
-        tmp = path.with_name(
-            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as f:
                 f.write(data)
@@ -425,8 +413,6 @@ class Repository:
             record = _record_from_json(rec_json, elements_of(rec_json["rows"]),
                                        repo._collections)
             repo._records[record.repo_identifier] = record
-            repo._by_source[(record.collection_id,
-                             record.source_identifier)] = record.repo_identifier
         return repo
 
 

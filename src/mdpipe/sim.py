@@ -287,7 +287,7 @@ class SimProvider:
         if verb == "ListSets":
             return 200, self._list_sets()
         if verb == "GetRecord":
-            return 200, self._get_record(params)
+            return 200, self._get_record(params, page)
         if verb == "ListRecords":
             return 200, self._list_records(params, page)
         return 200, self._error("badVerb", f"unknown verb {verb!r}")
@@ -350,9 +350,9 @@ class SimProvider:
         records.sort(key=lambda r: (r.datestamp, r.identifier))
         return records
 
-    def _serve_elements(self, rec: _LiveRecord) -> tuple[DcElement, ...]:
-        if self._fault_active("SplashPageUrls", "ListRecords") or \
-                self._fault_active("SplashPageUrls", "GetRecord"):
+    def _serve_elements(self, rec: _LiveRecord, verb: str,
+                        page: int) -> tuple[DcElement, ...]:
+        if self._fault_active("SplashPageUrls", verb, page):
             return tuple(
                 DcElement(name=el.name, value=SPLASH_URL,
                           qualifier=el.qualifier, scheme=el.scheme,
@@ -362,7 +362,7 @@ class SimProvider:
                 for el in rec.elements)
         return rec.elements
 
-    def _serialize_record(self, rec: _LiveRecord,
+    def _serialize_record(self, rec: _LiveRecord, verb: str, page: int,
                           bad_datestamp: bool = False,
                           schema_invalid: bool = False) -> str:
         stamp = ("01-08-2005" if bad_datestamp
@@ -372,7 +372,7 @@ class SimProvider:
         if not rec.deleted:
             payload = model.serialize_dc_payload(
                 self.scenario.format_prefix,
-                self._serve_elements(rec)).decode()
+                self._serve_elements(rec, verb, page)).decode()
             if schema_invalid:
                 payload = payload.replace(
                     "</oai_dc:dc>",
@@ -384,7 +384,7 @@ class SimProvider:
         parts.append("</record>")
         return "".join(parts)
 
-    def _get_record(self, params: dict[str, str]) -> bytes:
+    def _get_record(self, params: dict[str, str], page: int) -> bytes:
         ident = params.get("identifier", "")
         rec = self.state().get(ident)
         if rec is None:
@@ -393,8 +393,8 @@ class SimProvider:
             if (self.scenario.deleted_policy != "persistent"
                     or self._forgotten_deletes()):
                 return self._error("idDoesNotExist", ident)
-        body = f"<GetRecord>{self._serialize_record(rec)}</GetRecord>"
-        return self._envelope("GetRecord", body)
+        record = self._serialize_record(rec, "GetRecord", page)
+        return self._envelope("GetRecord", f"<GetRecord>{record}</GetRecord>")
 
     def _list_records(self, params: dict[str, str], page: int) -> bytes:
         token = params.get("resumptionToken")
@@ -440,7 +440,7 @@ class SimProvider:
         items = []
         for i, rec in enumerate(page_records):
             items.append(self._serialize_record(
-                rec, bad_datestamp=bad_stamp and i == 0,
+                rec, "ListRecords", page, bad_datestamp=bad_stamp and i == 0,
                 schema_invalid=schema_bad and i == 0))
 
         token_el = ""

@@ -8,7 +8,8 @@ for large providers.
 
 Every probe after Identify, GetRecord included, reads its response through
 one ``_Walker.fetch``, and the walk files a page that fails to parse under
-the check it breaks (``_Walker.grade``).
+the check it breaks (``_Walker.grade``). A transport failure in any probe is
+the report's ``transport_error``, not a check result.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ CHECK_IDS = (
 ERROR = "Error"
 WARNING = "Warning"
 
-#: what a probe raises; a page that fails to parse raises a ValueError
-_PROBE_ERRORS = (TransportError, OaiProtocolError, ValueError)
+#: what a probe's answer raises; a page that fails to parse raises a ValueError
+_PROBE_ERRORS = (OaiProtocolError, ValueError)
 
 
 @dataclass(frozen=True)

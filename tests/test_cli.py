@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from mdpipe import ingest, model
-from mdpipe.cli import main
+from mdpipe import ingest, model, pipeline, sim
+from mdpipe.cli import State, load_config, main
+from mdpipe.client import OaiClient
 from mdpipe.model import DcElement, MetadataRecord, RecordHeader
 from mdpipe.repository import Repository
 from mdpipe.sim import FaultSpec, make_scenario
@@ -258,3 +259,74 @@ def test_ingest_failure_exit_two_keeps_state(env, tmp_path, document):
         path = _insert_document(tmp_path, "ghost")
     assert _run(env, "ingest", path, "--at", AT) == 2
     assert _state_file(tmp_path).read_bytes() == before
+
+
+# ---------------------------------------------------------------------------
+# one writer per state directory
+
+
+def _harvest(env, collection_id):
+    return _run(env, "harvest", "--collection-id", collection_id,
+                "--scenario", env["scenario"], "--at", AT)
+
+
+def _writer(env):
+    return State(load_config(env["config"]), writes=True)
+
+
+def test_second_writer_exits_two_and_touches_no_file(env, tmp_path, capsys):
+    assert _register(env) == 0
+    state_dir = tmp_path / "state"
+    before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
+    assert set(before) == {"repository.json", "registry.jsonl"}
+    capsys.readouterr()
+    writer = _writer(env)
+    try:
+        assert _harvest(env, "coll-1") == 2
+        assert str(state_dir) in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            _writer(env)
+        assert _run(env, "stats") == 0     # a reader takes no lock
+    finally:
+        writer.close()
+    assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
+
+
+def test_overlapping_writers_lose_no_harvest(env):
+    for collection_id, host in (("c1", "one"), ("c2", "two")):
+        assert _run(env, "register", "--collection-id", collection_id,
+                    "--base-url", f"http://{host}.invalid/oai",
+                    "--scenario", env["scenario"], "--at", AT) == 0
+    now = model.parse_datestamp(AT)
+    provider = sim.SimProvider(sim.SimScenario.load(env["scenario"]),
+                               sim.SimClock(now))
+    first = _writer(env)
+    try:
+        outcome = pipeline.run_harvest(
+            first.registry, first.repository,
+            OaiClient(transport=sim.SimTransport(provider)), "c1", now)
+        assert outcome.attempt.success
+        assert _harvest(env, "c2") == 2
+        first.save()
+    finally:
+        first.close()
+    assert _harvest(env, "c2") == 0
+    reader = State(load_config(env["config"]), writes=False)
+    for collection_id in ("c1", "c2"):
+        live = reader.repository.live_source_identifiers(collection_id)
+        assert len(live) == 25
+        assert reader.registry.state(collection_id).watermark \
+            == outcome.attempt.completed_through
+
+
+def test_writer_that_exits_two_releases_the_lock(env):
+    assert _harvest(env, "ghost") == 2
+    _writer(env).close()
+    assert _register(env) == 0
+
+
+def test_writer_over_a_state_dir_that_is_a_file_exit_two(env, tmp_path,
+                                                         capsys):
+    (tmp_path / "state").write_text("")
+    assert _register(env) == 2
+    assert "cannot lock state directory" in capsys.readouterr().err

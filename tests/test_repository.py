@@ -3,7 +3,6 @@ import dataclasses
 import hashlib
 import json
 import tempfile
-import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
@@ -296,16 +295,32 @@ def test_exports_pinned_bytes(tmp_path):
         == _PINNED_EXPORTS_SHA256
 
 
-def test_links_payload_membership(repo):
-    ids = repo.insert(_doc([("oai:x:1", "t1")]), now=T0)
-    rec = repo.get(ids[0])
+def test_links_payload_membership():
+    r = Repository()
+    coll_id = r.register_collection_record(
+        "coll-1", (DcElement("title", "C"),), T0)
+    ids = r.insert(_doc([("oai:x:1", "t1")]), now=T0)
+    rec = r.get(ids[0])
     assert b"memberOf" in rec.exports["nsdl_links"]
-    assert repo.collection_repo_id("coll-1").encode() in rec.exports["nsdl_links"]
+    assert coll_id.encode() in rec.exports["nsdl_links"]
 
 
-def test_collection_record_has_no_self_membership(repo):
-    coll_rec = repo.get(repo.collection_repo_id("coll-1"))
-    assert b"memberOf" not in coll_rec.exports["nsdl_links"]
+def test_collection_record_has_no_self_membership():
+    r = Repository()
+    coll_id = r.register_collection_record(
+        "coll-1", (DcElement("title", "C"),), T0)
+    assert b"memberOf" not in r.get(coll_id).exports["nsdl_links"]
+
+
+def test_tombstone_naming_the_collection_record_is_unknown():
+    # delete_by_source finds only items: a provider tombstone whose
+    # identifier is the collection record's own id names no stored item
+    r = Repository()
+    coll_id = r.register_collection_record(
+        "coll-1", (DcElement("title", "C"),), T0)
+    with pytest.raises(UnknownIdentifier):
+        r.delete_by_source("coll-1", coll_id, now=T0)
+    assert not r.get(coll_id).deleted
 
 
 def test_nsdl_all_vs_search_native_private():
@@ -366,26 +381,6 @@ def test_publish_without_writes_is_identical(repo):
     s2 = repo.publish(now=T0 + timedelta(hours=4))
     assert s1 == s2
     assert s1.manifest.checksum == s2.manifest.checksum
-
-
-def test_concurrent_insert_never_lands_partially(repo):
-    big_doc = _doc([(f"oai:y:{i}", f"u{i}") for i in range(200)])
-    snapshots = []
-    stop = threading.Event()
-
-    def publisher():
-        while not stop.is_set():
-            snapshots.append(repo.publish(now=T0))
-
-    t = threading.Thread(target=publisher)
-    t.start()
-    repo.insert(big_doc, now=T0)
-    stop.set()
-    t.join()
-    snapshots.append(repo.publish(now=T0))
-    for snap in snapshots:
-        n_items = sum(1 for r in snap.records if not r.is_collection)
-        assert n_items in (0, 200)
 
 
 def test_list_uri_identifiers_match_scrubbed(repo):

@@ -216,6 +216,31 @@ def test_splash_page_urls_collapse_identifiers():
     assert urls == {sim.SPLASH_URL}
 
 
+@pytest.mark.parametrize("verb, page, splashed", [
+    (None, None, (10, 10, 1)),
+    ("ListRecords", None, (10, 10, 0)),
+    ("ListRecords", 2, (0, 10, 0)),
+    ("GetRecord", None, (0, 0, 1)),
+    ("GetRecord", 2, (0, 0, 0)),
+])
+def test_splash_page_urls_keep_their_verb_and_page(verb, page, splashed):
+    # splashed: records served with the splash URL on list pages 1 and 2,
+    # and in one GetRecord
+    prov = _provider(make_scenario(
+        20, faults=(FaultSpec("SplashPageUrls", verb=verb, page=page),)))
+    splash = sim.SPLASH_URL.encode()
+    _, first = prov.handle({"verb": "ListRecords",
+                            "metadataPrefix": "oai_dc"})
+    token = model.parse_list_response(first, "oai_dc").token.token
+    _, second = prov.handle({"verb": "ListRecords",
+                             "resumptionToken": token})
+    _, single = prov.handle({"verb": "GetRecord",
+                             "identifier": "oai:sim:0003",
+                             "metadataPrefix": "oai_dc"})
+    assert (first.count(splash), second.count(splash),
+            single.count(splash)) == splashed
+
+
 # ---------------------------------------------------------------------------
 # ForgottenDeletes: tombstones silently missing from windowed harvests
 

@@ -144,6 +144,16 @@ def test_get_record_denying_a_tombstone_fails_deleted_policy():
         c.detail for c in report.checks if c.check_id == "deleted-policy")
 
 
+@pytest.mark.parametrize("fault", ["Disconnect", "Http5xx"])
+def test_transport_failure_in_a_probe_is_the_reports_transport_error(fault):
+    # the GetRecord probe of a persistent tombstone never gets an answer
+    report = _report(_tombstone_scenario(
+        deleted_policy="persistent", page_size=10,
+        faults=(FaultSpec(fault, verb="GetRecord"),)))
+    assert report.verdict == "Fail"
+    assert report.transport_error is not None
+
+
 def test_non_integer_cursor_fails_schema_valid():
     transport = _Rewriting(make_scenario(25), lambda url, body: body.replace(
         b'cursor="0"', b'cursor="x"'))
@@ -178,7 +188,7 @@ def test_to_dict_round_trips_fields():
 # SHA-256 of each report's to_dict() and the URLs it asked for, over the
 # matrix below
 PINNED_SHA256 = (
-    "90402dbe0687196e624dcce0702e84ec7eac66a033f99f5528c55dd1fc720223")
+    "4a2afa4cc07008f247a84df0e3453ef1f585837260f0989f4469e43aa4f78334")
 
 
 def test_validator_reports_pinned():
