@@ -57,8 +57,10 @@ DC_PROFILE_PREFIXES = frozenset({"oai_dc", "nsdl_dc"})
 # Datestamps
 
 _DATESTAMP_PATTERN = "NNNN-NN-NNTNN:NN:NNZ"
-# the same grammar as one pattern; re.ASCII keeps \d to the digits 0-9
-_DATESTAMP_RE = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z",
+# the same grammar as one pattern; re.ASCII keeps \d to the digits 0-9. The
+# hour is held to 00-23 so that hour 24 always reaches the walk, whatever a
+# Python version's fromisoformat makes of 24:00.
+_DATESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):\d\d:\d\dZ",
                            re.ASCII)
 
 
@@ -68,10 +70,10 @@ def parse_datestamp(text: str) -> datetime:
     Raises MalformedDatestamp / NonUtc / ExcessPrecision; the exception's
     ``position`` attribute is the first offending character index.
     """
-    match = _DATESTAMP_RE.fullmatch(text)
-    if match is not None:
+    if _DATESTAMP_RE.fullmatch(text) is not None:
         try:
-            return datetime(*map(int, match.groups()), tzinfo=timezone.utc)
+            # "+00:00", not "Z": Python 3.10's fromisoformat rejects "Z"
+            return datetime.fromisoformat(text[:19] + "+00:00")
         except ValueError:
             pass   # out of range: the walk below names the field
     return _walk_datestamp(text)
@@ -105,6 +107,8 @@ def _walk_datestamp(text: str) -> datetime:
     hour = int(text[11:13])
     minute = int(text[14:16])
     second = int(text[17:19])
+    if year < 1:
+        raise MalformedDatestamp("year 0 out of range", 0)
     if not 1 <= month <= 12:
         raise MalformedDatestamp(f"month {month} out of range", 5)
     if not 1 <= day <= calendar.monthrange(year, month)[1]:
@@ -123,7 +127,8 @@ def format_datestamp(instant: datetime) -> str:
     year always four digits (``strftime("%Y")`` drops leading zeros)."""
     if instant.tzinfo is None:
         raise ValueError("naive datetime cannot be formatted as a datestamp")
-    t = instant.astimezone(timezone.utc)
+    t = (instant if instant.tzinfo is timezone.utc
+         else instant.astimezone(timezone.utc))
     return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (
         t.year, t.month, t.day, t.hour, t.minute, t.second)
 

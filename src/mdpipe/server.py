@@ -5,6 +5,16 @@ Resumption tokens are stateless: the query state is signed and encoded in
 the token itself, bound to the snapshot it was minted against, so a publish
 invalidates outstanding tokens and harvesters restart their lists.
 
+A token is ``<blob>.<sig>``: the blob is the unpadded urlsafe base64 of a
+JSON object with a fixed key set (``exp``, ``from``, ``pos``, ``prefix``,
+``set``, ``snap``, ``until``), written directly in the bytes
+``json.dumps(..., sort_keys=True)`` would give; the sig is the first 16 hex
+digits of its HMAC-SHA256. Each server keys one HMAC when it is built, and
+every sign and verify copies it. The ``from``/``until`` window travels as
+the datestamp text the request carried, so a page parses it once and never
+formats it back. Every request still checks the signature, the snapshot and
+the expiry.
+
 Responses are assembled as bytes from ``model``'s renderers, which the
 simulator shares. A record is the ``<header>`` its snapshot rendered once
 (``ServingSnapshot.header`` and ``select``) followed by its stored export
@@ -28,6 +38,7 @@ import secrets as _secrets
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 from urllib.parse import parse_qsl, urlsplit
 
@@ -40,6 +51,11 @@ logger = logging.getLogger(__name__)
 
 #: how long a minted resumption token stays valid
 TOKEN_TTL = timedelta(hours=1)
+
+
+def _json_text(text: str | None) -> str:
+    """``text`` as ``json.dumps`` writes it: ASCII-escaped, or null."""
+    return "null" if text is None else encode_basestring_ascii(text)
 
 
 @dataclass(frozen=True)
@@ -73,37 +89,46 @@ class OaiServer:
         self.config = config
         self.snapshot = snapshot
         self.clock = clock or (lambda: datetime.now(timezone.utc))
-        self.secret = secret or _secrets.token_bytes(32)
+        self._mac = hmac.new(secret or _secrets.token_bytes(32),
+                             digestmod=hashlib.sha256)
 
     # ------------------------------------------------------------------
     # Tokens
 
-    def mint_token(self, state: dict, position: int) -> str:
-        now = self.clock()
-        payload = dict(state)
-        payload.update({
-            "pos": position,
-            "snap": self.snapshot.snapshot_id,
-            "exp": format_datestamp(now + TOKEN_TTL),
-        })
-        blob = base64.urlsafe_b64encode(
-            json.dumps(payload, sort_keys=True).encode()).decode().rstrip("=")
-        sig = hmac.new(self.secret, blob.encode(), hashlib.sha256).hexdigest()[:16]
-        return f"{blob}.{sig}"
+    def _sign(self, blob: bytes) -> bytes:
+        """The first 16 hex digits of ``blob``'s HMAC. Only copies of the
+        keyed MAC are updated, so request threads can share it."""
+        mac = self._mac.copy()
+        mac.update(blob)
+        return mac.hexdigest()[:16].encode()
+
+    def mint_token(self, prefix: str, set_spec: str | None,
+                   from_: str | None, until: str | None,
+                   position: int) -> str:
+        """The token for ``position`` in a list. ``from_``/``until`` are
+        the window's datestamp text; None leaves a bound open."""
+        exp = format_datestamp(self.clock() + TOKEN_TTL)
+        payload = (
+            f'{{"exp": "{exp}", "from": {_json_text(from_)}, '
+            f'"pos": {position}, "prefix": {_json_text(prefix)}, '
+            f'"set": {_json_text(set_spec)}, '
+            f'"snap": {_json_text(self.snapshot.snapshot_id)}, '
+            f'"until": {_json_text(until)}}}')
+        blob = base64.urlsafe_b64encode(payload.encode()).rstrip(b"=")
+        return (blob + b"." + self._sign(blob)).decode()
 
     def resolve_token(self, token: str) -> dict:
         """Raises OaiProtocolError(badResumptionToken) for garbage, expired,
         or stale-snapshot tokens."""
         try:
-            blob, sig = token.rsplit(".", 1)
+            # a ValueError: no "." or a character outside ASCII
+            blob, sig = token.encode("ascii").rsplit(b".", 1)
         except ValueError:
             raise OaiProtocolError("badResumptionToken", "malformed token")
-        expected = hmac.new(self.secret, blob.encode(),
-                            hashlib.sha256).hexdigest()[:16]
-        if not hmac.compare_digest(sig, expected):
+        if not hmac.compare_digest(sig, self._sign(blob)):
             raise OaiProtocolError("badResumptionToken", "bad signature")
         try:
-            padded = blob + "=" * (-len(blob) % 4)
+            padded = blob + b"=" * (-len(blob) % 4)
             payload = json.loads(base64.urlsafe_b64decode(padded))
         except (ValueError, binascii.Error):
             raise OaiProtocolError("badResumptionToken", "undecodable token")
@@ -206,12 +231,14 @@ class OaiServer:
                               (("identifier", args["identifier"]),
                                ("metadataPrefix", prefix)))
 
-    def _parse_window(self, args):
+    def _parse_window(self, state):
+        """The from/until bounds of request arguments or a token's state,
+        where an absent or None bound is open."""
         bounds = {}
         for key in ("from", "until"):
-            if key in args:
+            if state.get(key) is not None:
                 try:
-                    bounds[key] = parse_datestamp(args[key])
+                    bounds[key] = parse_datestamp(state[key])
                 except ValueError as exc:
                     raise OaiProtocolError(
                         "badArgument", f"{key}: {exc}") from exc
@@ -223,21 +250,13 @@ class OaiServer:
     def _list(self, verb, args, now) -> bytes:
         if "resumptionToken" in args:
             state = self.resolve_token(args["resumptionToken"])
-            prefix = state["prefix"]
-            set_spec = state.get("set")
-            from_, until = None, None
-            if state.get("from"):
-                from_ = parse_datestamp(state["from"])
-            if state.get("until"):
-                until = parse_datestamp(state["until"])
-            position = state["pos"]
+            prefix, position = state["prefix"], state["pos"]
         else:
-            prefix = args.get("metadataPrefix")
+            state, prefix, position = args, args.get("metadataPrefix"), 0
             if not prefix:
                 raise OaiProtocolError("badArgument", "missing metadataPrefix")
-            set_spec = args.get("set")
-            from_, until = self._parse_window(args)
-            position = 0
+        set_spec = state.get("set")
+        from_, until = self._parse_window(state)
         if prefix not in EXPORT_FORMATS:
             raise OaiProtocolError("cannotDisseminateFormat", prefix)
 
@@ -262,11 +281,9 @@ class OaiServer:
 
         token_el = ""
         if next_pos < size:
-            state = {"prefix": prefix, "set": set_spec,
-                     "from": format_datestamp(from_) if from_ else None,
-                     "until": format_datestamp(until) if until else None}
-            token_el = model.resumption_token_xml(
-                self.mint_token(state, next_pos), size, position)
+            token = self.mint_token(prefix, set_spec, state.get("from"),
+                                    state.get("until"), next_pos)
+            token_el = model.resumption_token_xml(token, size, position)
         elif position > 0:
             # the empty token closes the final page of a paged list
             token_el = model.resumption_token_xml("", size, position)

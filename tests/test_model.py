@@ -1,7 +1,7 @@
 import re
 import random
 from xml.sax import saxutils
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,6 +66,12 @@ def test_parse_datestamp_calendar_bounds():
     parse_datestamp("2004-02-29T00:00:00Z")
 
 
+def test_parse_datestamp_year_zero_is_malformed_at_position_0():
+    with pytest.raises(MalformedDatestamp) as e:
+        parse_datestamp("0000-01-01T00:00:00Z")
+    assert e.value.position == 0
+
+
 def test_parse_datestamp_garbage_positions():
     with pytest.raises(MalformedDatestamp) as e:
         parse_datestamp("20x5-08-01T00:00:00Z")
@@ -124,7 +130,7 @@ def _outcome(parse, text):
         return type(exc), getattr(exc, "position", None), str(exc)
 
 
-_DATESTAMP_CHARS = "0123456789\u0660\u0663\u0669-:TZ.+ \n"
+_DATESTAMP_CHARS = "0123456789\u0660\u0663\u0669\uff10\uff19-:TZ.+ \n"
 
 
 @st.composite
@@ -148,17 +154,22 @@ def _datestamp_texts(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(text=_datestamp_texts() | st.text(_DATESTAMP_CHARS, max_size=22))
+@given(text=_datestamp_texts() | st.text(_DATESTAMP_CHARS, max_size=22)
+       | st.text(max_size=22))
 def test_parse_datestamp_agrees_with_character_walk(text):
-    assert _outcome(parse_datestamp, text) == _outcome(model._walk_datestamp,
-                                                       text)
+    outcome = _outcome(parse_datestamp, text)
+    assert outcome == _outcome(model._walk_datestamp, text)
+    if isinstance(outcome, datetime):
+        assert outcome.tzinfo == UTC
 
 
 @pytest.mark.parametrize("text", [
-    "2005-02-29T00:00:00Z", "2005-04-31T00:00:00Z", "2005-08-01T24:00:00Z",
-    "2005-08-01T23:59:60Z", "0000-08-01T00:00:00Z",
-    "\u0662\u0660\u0660\u0665-08-01T00:00:00Z", "2005-08-01T00:00:00Z\n",
-    "2005-08-01T00:00:00.5Z", "2005-08-01T00:00:00+00:00", "2005-08-01T00:0",
+    "2005-02-29T00:00:00Z", "2004-02-30T00:00:00Z", "2005-04-31T00:00:00Z",
+    "2005-13-01T00:00:00Z", "2005-08-01T24:00:00Z", "2005-08-01T23:59:60Z",
+    "0000-08-01T00:00:00Z", "\u0662\u0660\u0660\u0665-08-01T00:00:00Z",
+    "\uff12\uff10\uff10\uff15-08-01T00:00:00Z", "2005-08-01T00:00:00Z\n",
+    "2005-08-01T00:00:00.5Z", "2005-08-01T00:00:00+00:00",
+    "2005-08-01T00:00:00", "2005-08-01T00:0",
 ])
 def test_parse_datestamp_near_misses_match_character_walk(text):
     outcome = _outcome(parse_datestamp, text)
@@ -180,12 +191,17 @@ def test_format_datestamp_rejects_naive_datetime():
 
 
 @settings(max_examples=500, deadline=None)
-@given(instant=st.datetimes(min_value=datetime(1, 1, 1),
-                            max_value=datetime(9999, 12, 31, 23, 59, 59),
-                            timezones=st.just(UTC)))
+@given(instant=st.datetimes(
+    min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30, 23, 59, 59),
+    timezones=st.just(UTC) | st.integers(-1439, 1439).map(
+        lambda minutes: timezone(timedelta(minutes=minutes)))))
 def test_format_datestamp_round_trips_through_parse(instant):
     instant = instant.replace(microsecond=0)
-    assert parse_datestamp(format_datestamp(instant)) == instant
+    text = format_datestamp(instant)
+    t = instant.astimezone(UTC)
+    assert text == "%04d-%02d-%02dT%02d:%02d:%02dZ" % (
+        t.year, t.month, t.day, t.hour, t.minute, t.second)
+    assert parse_datestamp(text) == instant
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Provider endpoint: verbs, paging, tokens, and datestamp visibility."""
 
+import base64
 import hashlib
+import hmac
+import json
 import re
 import threading
 import xml.etree.ElementTree as ET
@@ -21,7 +24,7 @@ from mdpipe.repository import (
     SnapshotManifest,
     StoredRecord,
 )
-from mdpipe.server import OaiServer, ServerConfig, serve_http
+from mdpipe.server import TOKEN_TTL, OaiServer, ServerConfig, serve_http
 
 UTC = timezone.utc
 CFG = TransformConfig.default()
@@ -272,7 +275,7 @@ def test_window_contents_stable_once_past(server):
 
 
 def test_token_round_trip(server):
-    token = server.mint_token({"prefix": "oai_dc"}, 10)
+    token = server.mint_token("oai_dc", None, None, None, 10)
     state = server.resolve_token(token)
     assert state["pos"] == 10 and state["prefix"] == "oai_dc"
 
@@ -284,17 +287,60 @@ def test_garbage_token_rejected(server):
 
 
 def test_tampered_token_rejected(server):
-    token = server.mint_token({"prefix": "oai_dc"}, 10)
+    token = server.mint_token("oai_dc", None, None, None, 10)
     resp = server.handle_request(
         "ListRecords", {"resumptionToken": token[:-1] + "X"})
     assert _error_code(resp) == "badResumptionToken"
 
 
 def test_token_expires_after_ttl(server):
-    token = server.mint_token({"prefix": "oai_dc"}, 10)
+    token = server.mint_token("oai_dc", None, None, None, 10)
     server.test_clock.value = T0 + timedelta(hours=2)
     resp = server.handle_request("ListRecords", {"resumptionToken": token})
     assert _error_code(resp) == "badResumptionToken"
+
+
+@pytest.mark.parametrize("token", ["abc.%C3%A9", "%C3%A9.abc"])
+def test_non_ascii_token_is_malformed(server, token):
+    resp = server.handle_url(f"/oai?verb=ListRecords&resumptionToken={token}")
+    assert _error_code(resp) == "badResumptionToken"
+    assert "malformed token" in _root(resp).find(f"{OAI}error").text
+
+
+@pytest.fixture(scope="module")
+def token_server():
+    return OaiServer(ServerConfig(), _pinned_snapshot(), clock=lambda: T0,
+                     secret=b"token-secret")
+
+
+# text that JSON escapes: quotes, backslashes, control characters, non-ASCII
+_TOKEN_FIELD = st.text(
+    st.sampled_from('"\\/\x00\x08\n\x1f\x7f\u00e9\u2028\U0001f600a')
+    | st.characters(), max_size=12)
+_STAMP_TEXT = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31),
+    timezones=st.just(UTC)).map(model.format_datestamp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix=_TOKEN_FIELD, set_spec=st.none() | _TOKEN_FIELD,
+       from_=st.none() | _STAMP_TEXT, until=st.none() | _STAMP_TEXT,
+       position=st.integers(0, 10**12))
+def test_token_is_the_signed_json_dumps_of_its_state(
+        token_server, prefix, set_spec, from_, until, position):
+    token = token_server.mint_token(prefix, set_spec, from_, until, position)
+    # the reference: the payload and signature as json.dumps and a fresh
+    # HMAC build them
+    payload = {"prefix": prefix, "set": set_spec, "from": from_,
+               "until": until, "pos": position,
+               "snap": token_server.snapshot.snapshot_id,
+               "exp": model.format_datestamp(T0 + TOKEN_TTL)}
+    blob = base64.urlsafe_b64encode(
+        json.dumps(payload, sort_keys=True).encode()).decode().rstrip("=")
+    sig = hmac.new(b"token-secret", blob.encode(),
+                   hashlib.sha256).hexdigest()[:16]
+    assert token == f"{blob}.{sig}"
+    assert token_server.resolve_token(token) == payload
 
 
 def test_publish_invalidates_outstanding_tokens(server):
