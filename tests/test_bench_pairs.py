@@ -1,6 +1,7 @@
 """The pair runner's summary of benchmark results (tools/bench_pairs.py)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -35,3 +36,37 @@ def test_summary_counts_strict_wins_and_takes_inclusive_quartiles():
     latency = entry["metrics"]["latency_p50_ms"]
     assert latency["better"] == "lower" and latency["unit"] == "ms"
     assert latency["change_better_pairs"] == 3
+
+
+def test_main_alternates_sides_and_keeps_the_rest_of_the_out_file(
+        tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "records_per_s", "better": "higher"},
+        {"name": "latency_p50_ms", "better": "lower"}]}))
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"method": {"pairs": "written by hand"},
+                               "workloads": {"other": {"seeds": [9]}}}))
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed, seconds))
+        return _result(200 if checkout == change else 100, 1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w",
+                             "--seeds", "1", "2", "--seconds", "0.5",
+                             "--out", str(out)]) == 0
+    assert calls == [("parent", "w", 1, 0.5), ("change", "w", 1, 0.5),
+                     ("change", "w", 2, 0.5), ("parent", "w", 2, 0.5)]
+    written = json.loads(out.read_text())
+    assert written["method"] == {"pairs": "written by hand"}
+    assert written["workloads"]["other"] == {"seeds": [9]}
+    entry = written["workloads"]["w"]
+    assert entry["seeds"] == [1, 2] and entry["seconds"] == 0.5
+    assert entry["correct"] == {"parent": [True, True],
+                                "change": [True, True]}
+    assert entry["metrics"]["records_per_s"]["change_better_pairs"] == 2
+    assert entry["metrics"]["latency_p50_ms"]["change_better_pairs"] == 0

@@ -192,8 +192,12 @@ def test_format_datestamp_rejects_naive_datetime():
 
 @settings(max_examples=500, deadline=None)
 @given(instant=st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59),
+    timezones=st.just(UTC)) | st.datetimes(
+    # One day in from each end of the calendar, so the conversion to UTC
+    # stays inside it.
     min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30, 23, 59, 59),
-    timezones=st.just(UTC) | st.integers(-1439, 1439).map(
+    timezones=st.integers(-1439, 1439).map(
         lambda minutes: timezone(timedelta(minutes=minutes)))))
 def test_format_datestamp_round_trips_through_parse(instant):
     instant = instant.replace(microsecond=0)

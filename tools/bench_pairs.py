@@ -8,8 +8,9 @@ checkout, and the side that runs first flips from one pair to the next.
 The workload's entry in ``--out`` gets every run's end-to-end values, the
 failed-operation counts and output checks, and per metric each side's
 quartiles, the number of pairs the change won (ties count for neither)
-and the ratio of the medians. An existing ``--out`` keeps its other
-entries, so one file can gather several workloads. Standard library only.
+and the ratio of the medians, and the run length. An existing ``--out``
+keeps its other entries and its ``method`` text, so one file can gather
+several workloads. Standard library only.
 """
 
 from __future__ import annotations
@@ -109,17 +110,18 @@ def main(argv=None) -> int:
                   file=sys.stderr)
 
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
-    out["method"] = {
+    out.setdefault("method", {
         "command": ("python3 perfbench/run.py --workload <w> --seed <s> "
-                    f"--seconds {args.seconds:g} --trace 0"),
+                    "--seconds <seconds> --trace 0"),
         "pairs": ("parent and change alternate, the side that runs first "
                   "flips every pair"),
         "quartiles": ("statistics.quantiles(n=4, method='inclusive') over "
                       "the runs of one side"),
         "host": (f"{os.cpu_count()}-CPU {platform.machine()} host, "
                  f"Python {platform.python_version()}"),
-    }
-    entry = {"seeds": args.seeds, **summarise(results, better)}
+    })
+    entry = {"seeds": args.seeds, "seconds": args.seconds,
+             **summarise(results, better)}
     out.setdefault("workloads", {})[args.workload] = entry
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
