@@ -185,7 +185,7 @@ def cmd_validate(args, state: State) -> int:
     if report.transport_error:
         lines.append(f"  unreachable: {report.transport_error}")
     for check in report.checks:
-        mark = "ok" if check.passed else f"FAIL ({check.severity})"
+        mark = "ok" if check.passed else "FAIL"
         lines.append(f"  {check.check_id}: {mark}"
                      + (f" - {check.detail}" if check.detail
                         and not check.passed else ""))

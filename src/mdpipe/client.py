@@ -79,8 +79,6 @@ def classify_failure(error: BaseException) -> FailureCategory:
     if isinstance(error, (WellFormednessError, SchemaViolation,
                           DatestampError)):
         return FailureCategory.DATA_FORMAT
-    if isinstance(error, OaiProtocolError):
-        return FailureCategory.PROTOCOL_VIOLATION
     return FailureCategory.PROTOCOL_VIOLATION
 
 

@@ -55,12 +55,7 @@ class SchemaViolation(ValueError):
 
 class BadRecordDatestamp(SchemaViolation):
     """A record header datestamp outside the strict second-granularity
-    profile; keeps the raw text so validators can grade severity."""
-
-    def __init__(self, message: str, identifier: str, datestamp_text: str):
-        super().__init__(message)
-        self.identifier = identifier
-        self.datestamp_text = datestamp_text
+    profile; the validator files it under datestamp-format."""
 
 
 PROTOCOL_ERROR_CODES = frozenset({

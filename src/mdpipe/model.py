@@ -133,17 +133,6 @@ def format_datestamp(instant: datetime) -> str:
         t.year, t.month, t.day, t.hour, t.minute, t.second)
 
 
-def is_day_granularity(text: str) -> bool:
-    """True for YYYY-MM-DD datestamps (legal on the wire, warned against here)."""
-    if len(text) != 10:
-        return False
-    try:
-        datetime.strptime(text, "%Y-%m-%d")
-    except ValueError:
-        return False
-    return True
-
-
 # A percent-encoded octet (RFC 3986 section 2.1); group 1 holds its two
 # hex digits.
 PERCENT_ESCAPE = re.compile(r"%([0-9A-Fa-f]{2})")
@@ -408,8 +397,7 @@ def _build_record(raw: bytes, rec: _Record,
         stamp = parse_datestamp(rec.datestamp)
     except ValueError as exc:
         raise BadRecordDatestamp(
-            f"record {rec.identifier!r} datestamp {rec.datestamp!r}: {exc}",
-            identifier=rec.identifier, datestamp_text=rec.datestamp,
+            f"record {rec.identifier!r} datestamp {rec.datestamp!r}: {exc}"
         ) from exc
     header = RecordHeader(
         identifier=rec.identifier,

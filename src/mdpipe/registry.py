@@ -74,7 +74,6 @@ class CollectionState:
     consecutive_failures: int = 0
     harvests_since_full: int = 0
     last_attempt_at: datetime | None = None
-    attempt_count: int = 0
 
 
 def apply_attempt(state: CollectionState,
@@ -88,13 +87,11 @@ def apply_attempt(state: CollectionState,
             harvests_since_full=(0 if attempt.mode == "full"
                                  else state.harvests_since_full + 1),
             last_attempt_at=attempt.started_at,
-            attempt_count=state.attempt_count + 1,
         )
     return replace(
         state,
         consecutive_failures=state.consecutive_failures + 1,
         last_attempt_at=attempt.started_at,
-        attempt_count=state.attempt_count + 1,
     )
 
 

@@ -294,13 +294,10 @@ class SimProvider:
 
     def _page_of(self, params: dict[str, str]) -> int:
         token = params.get("resumptionToken")
-        if token is None:
+        parsed = None if token is None else self._parse_token(token)
+        if parsed is None:
             return 1
-        try:
-            pos = int(token.split("|", 1)[0].lstrip("p"))
-            return pos // self.scenario.page_size + 1
-        except ValueError:
-            return 1
+        return parsed[0] // self.scenario.page_size + 1
 
     def _envelope(self, verb: str | None, body: str) -> bytes:
         return model.response_xml(self.clock.now(), self.base_url, verb,

@@ -6,10 +6,14 @@ collection pointing at it can be registered. The walk is bounded (first
 pages plus one re-probe of the start page) so validation stays cheap even
 for large providers.
 
-Every probe after Identify, GetRecord included, reads its response through
-one ``_Walker.fetch``, and the walk files a page that fails to parse under
-the check it breaks (``_Walker.grade``). A transport failure in any probe is
-the report's ``transport_error``, not a check result.
+Every check passes or fails, and any failed check fails the verdict.
+Datestamps are judged by ``parse_datestamp``, the harvester's own grammar,
+so a provider whose datestamps the harvester cannot read cannot pass. Every
+probe after Identify, GetRecord included, reads its response through one
+``_Walker.fetch``. A page of the walk that fails to parse is filed under the
+check it breaks (``_Walker.grade``); a probe that cannot read its answer
+fails its own check. A transport failure in any probe is the report's
+``transport_error``, not a check result.
 """
 
 from __future__ import annotations
@@ -38,9 +42,6 @@ CHECK_IDS = (
     "deleted-policy",
 )
 
-ERROR = "Error"
-WARNING = "Warning"
-
 #: what a probe's answer raises; a page that fails to parse raises a ValueError
 _PROBE_ERRORS = (OaiProtocolError, ValueError)
 
@@ -48,7 +49,6 @@ _PROBE_ERRORS = (OaiProtocolError, ValueError)
 @dataclass(frozen=True)
 class CheckResult:
     check_id: str
-    severity: str                 # Error | Warning
     passed: bool
     detail: str = ""
 
@@ -63,17 +63,15 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        if self.transport_error is not None:
-            return False
-        return all(c.passed for c in self.checks if c.severity == ERROR)
+        return (self.transport_error is None
+                and all(c.passed for c in self.checks))
 
     @property
     def verdict(self) -> str:
         return "Pass" if self.passed else "Fail"
 
     def failed_checks(self) -> tuple[str, ...]:
-        return tuple(c.check_id for c in self.checks
-                     if not c.passed and c.severity == ERROR)
+        return tuple(c.check_id for c in self.checks if not c.passed)
 
     def to_dict(self) -> dict:
         return {
@@ -83,50 +81,26 @@ class ValidationReport:
             "pages_walked": self.pages_walked,
             "records_checked": self.records_checked,
             "checks": [
-                {"check_id": c.check_id, "severity": c.severity,
-                 "passed": c.passed, "detail": c.detail}
+                {"check_id": c.check_id, "passed": c.passed,
+                 "detail": c.detail}
                 for c in self.checks],
         }
 
 
-def check_record(record: MetadataRecord) -> list[CheckResult]:
-    """Record-level findings: identifier encoding problems only (datestamp
-    problems surface at parse time as BadRecordDatestamp)."""
-    problems = []
-    ident = record.header.identifier
-    if not ident or not model.is_absolute_uri(ident):
-        problems.append(CheckResult(
-            "identifier-encoding", ERROR, False,
-            f"identifier {ident!r} is not an absolute URI"))
-    elif any(c.isspace() for c in ident) or not ident.isascii():
-        problems.append(CheckResult(
-            "identifier-encoding", ERROR, False,
-            f"identifier {ident!r} contains whitespace or non-ASCII"))
-    return problems
-
-
 class _Walker:
-    """Collects findings across a bounded ListRecords walk and the probes
-    after it."""
+    """Collects failures across a bounded ListRecords walk and the probes
+    after it: each failed check id maps to the first detail filed for it."""
 
     def __init__(self, transport, base_url: str, format_prefix: str):
         self.transport = transport
         self.base_url = base_url
         self.prefix = format_prefix
-        self.findings: list[CheckResult] = []
+        self.failures: dict[str, str] = {}
         self.records: list[MetadataRecord] = []
         self.pages = 0
-        self.records_checked = 0
-        self._failed: set[str] = set()
 
-    def fail(self, check_id: str, detail: str, severity: str = ERROR):
-        if (check_id, severity) in self._failed:
-            return
-        self._failed.add((check_id, severity))
-        self.findings.append(CheckResult(check_id, severity, False, detail))
-
-    def has_failed(self, check_id: str) -> bool:
-        return any(cid == check_id for cid, _ in self._failed)
+    def fail(self, check_id: str, detail: str) -> None:
+        self.failures.setdefault(check_id, detail)
 
     def fetch(self, params: dict[str, str]) -> model.ListResponse:
         """One probe: the request for ``params``, parsed."""
@@ -147,12 +121,7 @@ class _Walker:
         """File a page that failed to parse under the check it breaks.
         ``read_xml`` chains the UnicodeDecodeError of invalid UTF-8."""
         if isinstance(exc, BadRecordDatestamp):
-            if model.is_day_granularity(exc.datestamp_text):
-                self.fail("datestamp-format",
-                          f"day-granularity datestamp on {exc.identifier}",
-                          severity=WARNING)
-            else:
-                self.fail("datestamp-format", str(exc))
+            self.fail("datestamp-format", str(exc))
         elif isinstance(exc.__cause__, UnicodeDecodeError):
             self.fail("utf8-strict", str(exc))
         elif isinstance(exc, WellFormednessError):
@@ -182,12 +151,16 @@ class _Walker:
                 return seen
             self.pages += 1
             for rec in page.records:
-                self.records_checked += 1
-                seen.append(rec.header.identifier)
+                ident = rec.header.identifier
+                seen.append(ident)
                 self.records.append(rec)
-                for finding in check_record(rec):
-                    self.fail(finding.check_id, finding.detail,
-                              finding.severity)
+                if not ident or not model.is_absolute_uri(ident):
+                    self.fail("identifier-encoding",
+                              f"identifier {ident!r} is not an absolute URI")
+                elif any(c.isspace() for c in ident) or not ident.isascii():
+                    self.fail("identifier-encoding",
+                              f"identifier {ident!r} contains whitespace or "
+                              "non-ASCII")
             if page.token is None or page.token.is_final:
                 return seen
             params = {"verb": "ListRecords",
@@ -200,9 +173,6 @@ def validate_provider(base_url: str, transport,
                       max_pages: int = 30) -> ValidationReport:
     """Run all eight checks; deterministic for a fixed provider state. An
     unreachable endpoint yields a single transport-level failure."""
-    checks: list[CheckResult] = []
-
-    # -- 1. identify-well-formed
     try:
         raw = transport.get(f"{base_url}?{urlencode({'verb': 'Identify'})}")
         info = model.parse_identify(raw)
@@ -210,21 +180,13 @@ def validate_provider(base_url: str, transport,
         return ValidationReport(base_url=base_url, checks=(),
                                 transport_error=str(exc))
     except (WellFormednessError, SchemaViolation, OaiProtocolError) as exc:
-        checks.append(CheckResult("identify-well-formed", ERROR, False,
-                                  str(exc)))
+        identify = CheckResult("identify-well-formed", False, str(exc))
         info = None
     else:
-        checks.append(CheckResult("identify-well-formed", ERROR, True,
-                                  info.repository_name))
+        identify = CheckResult("identify-well-formed", True,
+                               info.repository_name)
 
     walker = _Walker(transport, base_url, format_prefix)
-    earliest = None
-    if info is not None:
-        try:
-            earliest = model.parse_datestamp(info.earliest_datestamp)
-        except ValueError:
-            pass  # day granularity: skip the windowed probe
-
     try:
         # -- bounded walk over an un-windowed list (token chain exercises
         # token-roundtrip implicitly; explicit re-probe below)
@@ -234,14 +196,20 @@ def validate_provider(base_url: str, transport,
 
         # -- token-roundtrip: resume the chain again from a fresh page-1
         # token and expect the same second page
-        if not walker.has_failed("utf8-strict") \
-                and not walker.has_failed("schema-valid") \
-                and not walker.has_failed("datestamp-format"):
+        if first_walk and not {"utf8-strict", "schema-valid",
+                               "datestamp-format"} & walker.failures.keys():
             _check_token_roundtrip(walker, format_prefix)
 
         # -- window-idempotency: the same date window twice must list the
-        # same identifiers
-        if earliest and not walker.has_failed("token-roundtrip"):
+        # same identifiers, from an earliestDatestamp the harvester can read
+        earliest = None
+        if info is not None:
+            try:
+                earliest = model.parse_datestamp(info.earliest_datestamp)
+            except ValueError as exc:
+                walker.fail("datestamp-format", f"earliestDatestamp "
+                            f"{info.earliest_datestamp!r}: {exc}")
+        if earliest and "token-roundtrip" not in walker.failures:
             _check_window_idempotency(walker, format_prefix, earliest)
 
         # -- deleted-policy: tombstones visible in full lists must also be
@@ -251,7 +219,7 @@ def validate_provider(base_url: str, transport,
 
         # -- re-probe: re-fetch the start page and require a
         # subset relation with the first walk (catches flapping lists)
-        if first_walk and not walker.has_failed("window-idempotency"):
+        if first_walk and "window-idempotency" not in walker.failures:
             reprobe = walker.walk(
                 {"verb": "ListRecords", "metadataPrefix": format_prefix},
                 walker.pages + 1)
@@ -260,20 +228,17 @@ def validate_provider(base_url: str, transport,
                             "re-probe returned identifiers absent from "
                             "the first walk")
     except TransportError as exc:
-        return ValidationReport(base_url=base_url, checks=tuple(checks),
+        return ValidationReport(base_url=base_url, checks=(identify,),
                                 transport_error=str(exc),
                                 pages_walked=walker.pages,
-                                records_checked=walker.records_checked)
+                                records_checked=len(walker.records))
 
-    checks.extend(walker.findings)
-    failed_or_warned = {(c.check_id, c.severity) for c in checks}
-    for check_id in CHECK_IDS:
-        if not any(cid == check_id for cid, _ in failed_or_warned):
-            checks.append(CheckResult(check_id, ERROR, True))
-    checks.sort(key=lambda c: CHECK_IDS.index(c.check_id))
-    return ValidationReport(base_url=base_url, checks=tuple(checks),
-                            pages_walked=walker.pages,
-                            records_checked=walker.records_checked)
+    return ValidationReport(
+        base_url=base_url,
+        checks=(identify, *(CheckResult(cid, cid not in walker.failures,
+                                        walker.failures.get(cid, ""))
+                            for cid in CHECK_IDS[1:])),
+        pages_walked=walker.pages, records_checked=len(walker.records))
 
 
 def _check_token_roundtrip(walker: _Walker, prefix: str) -> None:

@@ -51,7 +51,7 @@ def test_validate_fail_exit_one(env, tmp_path, capsys):
                 "--scenario", str(bad), "--at", AT)
     assert code == 1
     out = capsys.readouterr().out
-    assert "Fail" in out and "datestamp-format" in out
+    assert "Fail" in out and "datestamp-format: FAIL - " in out
 
 
 def test_validate_json_output(env, capsys):
@@ -85,6 +85,17 @@ def test_register_against_failing_provider_refused(env, tmp_path):
                  "--base-url", "http://sim.invalid/oai",
                  "--scenario", str(bad), "--at", AT])
     assert code == 1
+
+
+def test_register_and_harvest_an_empty_provider(env, tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    make_scenario(0).save(empty)
+    assert _run(env, "register", "--collection-id", "coll-0",
+                "--base-url", "http://sim.invalid/oai",
+                "--scenario", str(empty), "--at", AT) == 0
+    assert _run(env, "harvest", "--collection-id", "coll-0",
+                "--scenario", str(empty), "--at", AT) == 0
+    assert "0 inserted" in capsys.readouterr().out
 
 
 def test_duplicate_registration_exit_two(env):

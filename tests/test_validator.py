@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -17,7 +18,7 @@ from mdpipe.sim import (
     TimelineEvent,
     make_scenario,
 )
-from mdpipe.validator import CHECK_IDS, WARNING, validate_provider
+from mdpipe.validator import CHECK_IDS, validate_provider
 
 UTC = timezone.utc
 BASE = "http://sim.invalid/oai"
@@ -171,11 +172,27 @@ def test_bad_identifier_fails_identifier_encoding():
     assert "identifier-encoding" in report.failed_checks()
 
 
-def test_verdict_fails_only_on_error_severity():
-    report = _report(make_scenario(25))
-    assert report.passed
-    assert not [c for c in report.checks
-                if not c.passed and c.severity == WARNING]
+@pytest.mark.parametrize("tags", [(b"datestamp",),
+                                  (b"datestamp", b"earliestDatestamp")])
+def test_day_granular_datestamps_fail_datestamp_format(tags):
+    # legal in OAI-PMH 2.0, but the harvester's grammar rejects them, so
+    # every harvest of this provider would fail
+    def to_days(url, body):
+        for tag in tags:
+            body = re.sub(rb"<%s>(\d{4}-\d\d-\d\d)T[^<]*</%s>" % (tag, tag),
+                          rb"<%s>\1</%s>" % (tag, tag), body)
+        return body
+    report = validate_provider(BASE, _Rewriting(make_scenario(25), to_days))
+    assert report.verdict == "Fail"
+    assert "datestamp-format" in report.failed_checks()
+
+
+def test_empty_provider_passes():
+    # noRecordsMatch is the spec's answer for an empty list, and the
+    # harvester stores it as a successful harvest of 0 records
+    report = _report(make_scenario(0))
+    assert report.verdict == "Pass"
+    assert report.records_checked == 0
 
 
 def test_to_dict_round_trips_fields():
@@ -188,7 +205,7 @@ def test_to_dict_round_trips_fields():
 # SHA-256 of each report's to_dict() and the URLs it asked for, over the
 # matrix below
 PINNED_SHA256 = (
-    "4a2afa4cc07008f247a84df0e3453ef1f585837260f0989f4469e43aa4f78334")
+    "307b0da77d5d007cae6482d5317de866dabcace6552ae4103d585ce870d31578")
 
 
 def test_validator_reports_pinned():
