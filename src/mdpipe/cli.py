@@ -65,7 +65,7 @@ def load_config(path: str | None) -> dict:
     candidate = path or os.environ.get("MDPIPE_CONFIG")
     if candidate:
         try:
-            loaded = json.loads(Path(candidate).read_text())
+            loaded = json.loads(Path(candidate).read_bytes())
         except (OSError, ValueError) as exc:
             raise SystemExit(f"cannot read config {candidate}: {exc}")
         if not isinstance(loaded, dict):

@@ -14,9 +14,15 @@ never persisted: the state file (``version`` 2) holds only what they are
 derived from. All five come from one pass over the normalized elements:
 each element is rendered and escaped once, in its qualified ``nsdl_dc`` form
 and its dumbed-down ``oai_dc`` form, and the search and full-dump bundles
-share one prefix; the namespace markup is rendered once per process. ``save`` replaces the file atomically (temp file, fsync,
-``os.replace``), and ``load`` upgrades a version 1 file, which carried the
-exports as base64 and a ``position`` per element row.
+share one prefix; the namespace markup is rendered once per process.
+
+A record is never changed in place, so its entry in the state file is
+encoded once per record object, and ``save`` streams the cached entries
+into the file: a save after a few writes re-encodes only the records they
+wrote. ``save`` replaces the file atomically (temp file, fsync,
+``os.replace``, then an fsync of the directory), and ``load`` upgrades a
+version 1 file, which carried the exports as base64 and a ``position`` per
+element row.
 
 A serving snapshot builds its index on the first request it serves: per set
 and for all sets, the records in datestamp order with their datestamps and
@@ -73,6 +79,13 @@ class StoredRecord:
     native_public: bool = True
     is_collection: bool = False
     schema_warning: bool = False
+
+    @cached_property
+    def state_entry(self) -> bytes:
+        """This record's element of the state file's ``records`` list, as
+        ``json.dumps`` writes it. Every write stores a new record object,
+        so the cache never goes stale."""
+        return json.dumps(_record_to_json(self)).encode()
 
 
 @dataclass(frozen=True)
@@ -364,26 +377,35 @@ class Repository:
     # -- persistence
 
     def save(self, path: str | Path) -> None:
-        """Write the state file atomically: a reader, or a restart after a
-        crash, sees either the previous file or the new one, never a torn
-        one."""
+        """Write the state file atomically and durably: a reader, or a
+        restart after a crash, sees either the previous file or the new one,
+        never a torn one.
+
+        The file is the bytes of ``json.dumps`` of the whole state, written
+        as the dump of the state without records, cut before its closing
+        ``]}``, then each record's cached ``state_entry``."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        state = {
+        head = json.dumps({
             "version": STATE_VERSION,
             "domain": self.domain,
             "postdate_offset_seconds": int(
                 self.postdate_offset.total_seconds()),
-            "collections": dict(self._collections),
-            "records": [_record_to_json(r) for r in self._records.values()],
-        }
-        data = json.dumps(state).encode()
+            "collections": self._collections,
+            "records": [],
+        }).encode()[:-2]
         # one temp name per process, next to the target so that the replace
         # stays on one file system
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as f:
-                f.write(data)
+                f.write(head)
+                separator = b""
+                for r in self._records.values():
+                    f.write(separator)
+                    f.write(r.state_entry)
+                    separator = b", "
+                f.write(b"]}")
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, path)
@@ -391,12 +413,18 @@ class Repository:
             # open() may have failed before creating it
             tmp.unlink(missing_ok=True)
             raise
+        # a rename is durable only once its directory is on disk
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
     @classmethod
     def load(cls, path: str | Path) -> "Repository":
         """Read a state file, upgrading version 1, and rebuild every
         record's exports."""
-        state = json.loads(Path(path).read_text())
+        state = json.loads(Path(path).read_bytes())
         version = state.get("version")
         if version == STATE_VERSION:
             elements_of = _elements_v2

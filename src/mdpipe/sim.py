@@ -143,7 +143,7 @@ class SimScenario:
 
     @classmethod
     def load(cls, path: str | Path) -> "SimScenario":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(json.loads(Path(path).read_bytes()))
 
 
 def make_scenario(n_records: int = 25,

@@ -2,9 +2,14 @@
 state persisted between invocations, exit codes, and --json output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mdpipe
 from mdpipe import ingest, model, pipeline, sim
 from mdpipe.cli import State, load_config, main
 from mdpipe.client import OaiClient
@@ -173,6 +178,23 @@ def test_pipeline_command_harvests_due(env, capsys):
 def test_bad_config_path_exit_two(tmp_path):
     code = main(["--config", str(tmp_path / "missing.json"), "stats"])
     assert code == 2
+
+
+def test_config_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259), whatever codec the locale would pick
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps(
+        {"state_dir": str(tmp_path / "state"),
+         "domain": "biblioth\u00e8que.example.org"},
+        ensure_ascii=False).encode())
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(mdpipe.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "mdpipe.cli", "--config", str(config),
+         "stats"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("attempts: 0 ")
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", "3", '"state"', "null"])

@@ -2,6 +2,8 @@ import base64
 import dataclasses
 import hashlib
 import json
+import os
+import stat
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -68,7 +70,7 @@ def test_insert_unknown_collection():
 
 def _insert_rows(repo, rows, native_public=True, raw=None,
                  original_format="oai_dc", source="oai:x:1",
-                 collection="coll-1"):
+                 collection="coll-1", now=T0):
     """Store ``rows`` as the record's normalized elements, as they are:
     no transform runs. ``raw`` defaults to the rows' own oai_dc payload."""
     rows = tuple(rows)
@@ -81,7 +83,7 @@ def _insert_rows(repo, rows, native_public=True, raw=None,
         entries=(ingest.DbInsertEntry(
             original, ingest.NormalizedRecord(source, rows)),),
         collection_id=collection, harvest_attempt_id="a")
-    [repo_id] = repo.insert(doc, now=T0, native_public=native_public)
+    [repo_id] = repo.insert(doc, now=now, native_public=native_public)
     return repo.get(repo_id)
 
 
@@ -293,6 +295,31 @@ def test_exports_pinned_bytes(tmp_path):
     repo.save(tmp_path / "repository.json")
     assert _exports_sha256(Repository.load(tmp_path / "repository.json")) \
         == _PINNED_EXPORTS_SHA256
+
+
+# SHA-256 of the state file of _pinned_repository(), and of the file that
+# the same object saved again after one insert and one tombstone, as written
+# by the save that dumped the whole state with json.dumps
+_PINNED_STATE_SHA256 = (
+    "5858f92db712b757671038b4503079bd446b363ceec4d9c0f750bc6f7f0cebc7",
+    "1a1a9fffd5e07ce851165615b9e3bb6e0608484b5087c3d9e0ddaafccfa180f0",
+)
+
+
+def test_state_file_pinned_bytes(tmp_path):
+    repo = _pinned_repository()
+    path = tmp_path / "repository.json"
+    repo.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() \
+        == _PINNED_STATE_SHA256[0]
+    _insert_rows(repo, (DcElement("title", "Added \u00e9 <later>"),),
+                 raw=b"<later/>", source="oai:p:added",
+                 collection=_PINNED_COLLECTION)
+    repo.delete_by_source(_PINNED_COLLECTION, "oai:p:0",
+                          now=T0 + timedelta(hours=1))
+    repo.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() \
+        == _PINNED_STATE_SHA256[1]
 
 
 def test_links_payload_membership():
@@ -595,3 +622,130 @@ def test_failed_save_keeps_previous_state(tmp_path, repo, monkeypatch, fault):
     assert sorted(p.name for p in path.parent.iterdir()) == ["repository.json"]
     repo.save(path)
     assert Repository.load(path).count() == repo.count()
+
+
+# ---------------------------------------------------------------------------
+# state file bytes against the formula they replaced
+
+def _datestamp(instant: datetime) -> str:
+    return instant.astimezone(UTC).replace(tzinfo=None).isoformat() + "Z"
+
+
+def _reference_state(repo: Repository) -> dict:
+    """The whole state as one dict, for one ``json.dumps``."""
+    return {
+        "version": 2,
+        "domain": repo.domain,
+        "postdate_offset_seconds": int(repo.postdate_offset.total_seconds()),
+        "collections": dict(repo._collections),
+        "records": [{
+            "repo_identifier": r.repo_identifier,
+            "collection_id": r.collection_id,
+            "source_identifier": r.source_identifier,
+            "original_raw": _b64(r.original_raw),
+            "original_format": r.original_format,
+            "provider_datestamp": _datestamp(r.provider_datestamp),
+            "rows": [[el.name, el.value, el.qualifier, el.scheme, el.language]
+                     for el in r.normalized_rows],
+            "served_datestamp": _datestamp(r.served_datestamp),
+            "deleted": r.deleted,
+            "native_public": r.native_public,
+            "is_collection": r.is_collection,
+            "schema_warning": r.schema_warning,
+        } for r in repo._records.values()],
+    }
+
+
+_COLLECTIONS = st.sampled_from(["c1", "c\"\u00e9\\2"])
+_SOURCES = st.sampled_from(["s:0", "s:1", "s:2"])
+_OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("register"), _COLLECTIONS, _ELEMENTS),
+    st.tuples(st.just("insert"), _COLLECTIONS, _SOURCES, _ELEMENTS,
+              st.booleans()),
+    st.tuples(st.just("mark_deleted"), st.integers(0, 9)),
+    st.tuples(st.just("delete_by_source"), _COLLECTIONS, _SOURCES),
+    st.tuples(st.just("save"))), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operations=_OPERATIONS)
+def test_every_save_writes_the_dump_of_the_whole_state(operations):
+    repo = Repository(domain="d\u00e9.example")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "repository.json"
+        for minute, (op, *args) in enumerate([*operations, ("save",)]):
+            now = T0 + timedelta(minutes=minute)
+            if op == "register":
+                repo.register_collection_record(*args, now)
+            elif op == "insert":
+                collection, source, rows, public = args
+                if collection in repo._collections:
+                    _insert_rows(repo, rows, native_public=public,
+                                 source=source, collection=collection,
+                                 now=now)
+                else:
+                    with pytest.raises(UnknownCollection):
+                        _insert_rows(repo, rows, source=source,
+                                     collection=collection)
+            elif op == "mark_deleted" and repo.count():
+                ids = list(repo._records)
+                repo.mark_deleted(ids[args[0] % len(ids)], now)
+            elif op == "delete_by_source":
+                collection, source = args
+                if repo.get(repo.mint_identifier(collection, source)):
+                    repo.delete_by_source(collection, source, now)
+                else:
+                    with pytest.raises(UnknownIdentifier):
+                        repo.delete_by_source(collection, source, now)
+            elif op == "save":
+                repo.save(path)
+                assert path.read_bytes() == \
+                    json.dumps(_reference_state(repo)).encode()
+                assert Repository.load(path).publish(now).manifest.checksum \
+                    == repo.publish(now).manifest.checksum
+
+
+def test_save_encodes_only_the_records_written_since_the_last(
+        tmp_path, repo, monkeypatch):
+    repo.insert(_doc([(f"oai:x:{i}", f"t{i}") for i in range(6)]), now=T0)
+    path = tmp_path / "repository.json"
+    repo.save(path)
+    encoded = []
+    record_to_json = repository._record_to_json
+
+    def counting(record):
+        encoded.append(record.repo_identifier)
+        return record_to_json(record)
+
+    monkeypatch.setattr(repository, "_record_to_json", counting)
+    later = T0 + timedelta(hours=1)
+    written = [*repo.insert(_doc([("oai:x:1", "t1v2"), ("oai:x:9", "t9")]),
+                            now=later),
+               repo.mint_identifier("coll-1", "oai:x:4")]
+    repo.delete_by_source("coll-1", "oai:x:4", now=later)
+    repo.save(path)
+    assert sorted(encoded) == sorted(written)
+    assert path.read_bytes() == json.dumps(_reference_state(repo)).encode()
+    encoded.clear()
+    repo.save(path)
+    assert encoded == []
+
+
+def test_save_fsyncs_the_directory_after_the_rename(tmp_path, repo,
+                                                   monkeypatch):
+    calls = []
+    replace, fsync = os.replace, os.fsync
+
+    def recording_replace(src, dst):
+        calls.append("replace")
+        replace(src, dst)
+
+    def recording_fsync(fd):
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        calls.append("fsync directory" if is_dir else "fsync file")
+        fsync(fd)
+
+    monkeypatch.setattr(repository.os, "replace", recording_replace)
+    monkeypatch.setattr(repository.os, "fsync", recording_fsync)
+    repo.save(tmp_path / "repository.json")
+    assert calls == ["fsync file", "replace", "fsync directory"]
