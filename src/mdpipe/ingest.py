@@ -66,8 +66,8 @@ def _profile() -> Profile:
 
 @dataclass(frozen=True)
 class TransformConfig:
-    """The safe transform's vocabularies, read from the data files shipped
-    in ``mdpipe.data``.
+    """The safe transform's vocabularies, read once per process from the
+    data files shipped in ``mdpipe.data``.
 
     ``safe_transform`` is a fixed point in one application only if these
     hold: every stop phrase is lowercase with single inner spaces (its own
@@ -80,6 +80,7 @@ class TransformConfig:
     languages: dict[str, str]           # lowercase -> normalized tag
 
     @classmethod
+    @functools.cache
     def default(cls) -> "TransformConfig":
         phrases = _load_data("stop_phrases.json")["phrases"]
         types = _load_data("dcmi_types.json")["types"]
@@ -122,20 +123,21 @@ _UNSAFE_RUN = re.compile(r'(?:[^\x21-\x7e]|[<>"{}|\\^`])+')
 def scrub_uri(value: str) -> str | None:
     """Repair an http/ftp URL value into syntactically fetchable form.
 
-    Returns None (NotFetchable) for non-http/ftp values and for values with
-    irreparable percent escapes.
+    Returns None (NotFetchable) for non-http/ftp values, for values with
+    irreparable percent escapes, and for values that UTF-8 cannot encode
+    (a lone surrogate).
     """
     v = value.strip()
     scheme = _FETCHABLE_SCHEME.match(v)
     # a % left once every valid escape is removed is irreparable
     if scheme is None or "%" in PERCENT_ESCAPE.sub("", v):
         return None
-    result = (scheme[1].lower() + "://"
-              + _UNSAFE_RUN.sub(lambda m: quote(m[0], safe=""),
-                                v[scheme.end():]))
     try:
+        result = (scheme[1].lower() + "://"
+                  + _UNSAFE_RUN.sub(lambda m: quote(m[0], safe=""),
+                                    v[scheme.end():]))
         netloc = urlsplit(result).netloc
-    except ValueError:
+    except ValueError:   # UnicodeEncodeError from quote, or a bad netloc
         return None
     return result if netloc else None
 

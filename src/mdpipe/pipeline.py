@@ -19,7 +19,6 @@ from datetime import datetime
 from . import ingest
 from .client import OaiClient
 from .errors import UnknownIdentifier
-from .ingest import TransformConfig
 from .registry import HarvestAttempt, Registry, decide_mode
 from .repository import Repository
 from .model import format_datestamp
@@ -62,14 +61,13 @@ def run_harvest(registry: Registry, repository: Repository,
         return HarvestOutcome(attempt=attempt)
 
     attempt_id = f"{collection_id}@{format_datestamp(now)}"
-    cfg = TransformConfig.default()
     pairs = []
     tombstones = []
     for record in result.records:
         if record.header.deleted:
             tombstones.append(record.header.identifier)
         else:
-            pairs.append((record, ingest.safe_transform(record, cfg)))
+            pairs.append((record, ingest.safe_transform(record)))
 
     inserted = 0
     if pairs:

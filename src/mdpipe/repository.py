@@ -8,10 +8,11 @@ one thread, and ``cli.State`` gives each state directory one writer process;
 published snapshots are immutable.
 
 Each record's five export payloads are a pure function of its normalized
-elements, its original bytes, ``native_public`` and its collection's repo
-id. They are built eagerly in memory at insert, and again by ``load``, but
-never persisted: the state file (``version`` 2) holds only what they are
-derived from. All five come from one pass over the normalized elements:
+elements, its original bytes, ``native_public`` and its collection record's
+identifier. They are derived on first use, in memory, and never persisted:
+the state file (``version`` 2) holds only what they are derived from, and a
+command that never publishes never builds one. All five come from one pass
+over the normalized elements:
 each element is rendered and escaped once, in its qualified ``nsdl_dc`` form
 and its dumbed-down ``oai_dc`` form, and the search and full-dump bundles
 share one prefix; the namespace markup is rendered once per process.
@@ -74,7 +75,7 @@ class StoredRecord:
     provider_datestamp: datetime
     normalized_rows: tuple[DcElement, ...]   # the normalized elements, in order
     served_datestamp: datetime
-    exports: dict[str, bytes]     # the five export payloads; empty if deleted
+    collection_record_id: str | None   # target of an item's membership link
     deleted: bool = False
     native_public: bool = True
     is_collection: bool = False
@@ -86,6 +87,13 @@ class StoredRecord:
         ``json.dumps`` writes it. Every write stores a new record object,
         so the cache never goes stale."""
         return json.dumps(_record_to_json(self)).encode()
+
+    @cached_property
+    def exports(self) -> dict[str, bytes]:
+        """The five export payloads, derived on first use; a tombstone has
+        none. Every write stores a new record object, so the cache never
+        goes stale."""
+        return {} if self.deleted else _build_exports(self)
 
 
 @dataclass(frozen=True)
@@ -190,28 +198,19 @@ _LINKS_OPEN = f"<links xmlns={quoteattr(LINKS_NS)}><memberOf>"
 _SEARCH_OPEN = f"<search xmlns={quoteattr(SEARCH_NS)}><nsdl_dc>".encode()
 
 
-def build_links(is_collection: bool, collection_id: str,
-                collection_record_id: str | None) -> bytes:
-    """Membership payload: exactly one item-to-collection relation.
-
-    Collection-description records emit no relation (no self-membership).
-    """
-    if is_collection:
-        return _LINKS_EMPTY
-    if collection_record_id is None:
-        raise MissingCollectionRecord(collection_id)
-    return (f"{_LINKS_OPEN}{escape(collection_record_id)}</memberOf></links>"
-            .encode())
-
-
-def _build_exports(rows: tuple[DcElement, ...], original_raw: bytes,
-                   original_format: str, native_public: bool,
-                   links: bytes) -> dict[str, bytes]:
-    """All five export payloads, from one pass over the normalized rows:
-    ``nsdl_dc`` and ``oai_dc`` take each element's two forms from one
-    rendering, and both search bundles share one prefix."""
+def _build_exports(r: StoredRecord) -> dict[str, bytes]:
+    """All five export payloads of a live record, from one pass over its
+    normalized rows: ``nsdl_dc`` and ``oai_dc`` take each element's two
+    forms from one rendering, and both search bundles share one prefix.
+    The membership payload holds exactly one item-to-collection relation;
+    a collection-description record holds none (no self-membership)."""
+    if r.is_collection:
+        links = _LINKS_EMPTY
+    else:
+        links = (f"{_LINKS_OPEN}{escape(r.collection_record_id)}"
+                 "</memberOf></links>").encode()
     nsdl, oai = [model.NSDL_DC_OPEN], [model.OAI_DC_OPEN]
-    for el in rows:
+    for el in r.normalized_rows:
         qualified, plain = model.dc_element_xml(el)
         nsdl.append(qualified)
         oai.append(plain)
@@ -221,10 +220,10 @@ def _build_exports(rows: tuple[DcElement, ...], original_raw: bytes,
     oai_dc = "".join(oai).encode()
     shared = b"".join((_SEARCH_OPEN, nsdl_dc, b"</nsdl_dc><oai_dc>", oai_dc,
                        b"</oai_dc><links>", links, b"</links>"))
-    if original_raw:
+    if r.original_raw:
         search = b"".join((
-            shared, f"<native format={quoteattr(original_format)}>".encode(),
-            original_raw, b"</native></search>"))
+            shared, f"<native format={quoteattr(r.original_format)}>".encode(),
+            r.original_raw, b"</native></search>"))
     else:
         search = shared + b"</search>"
     return {
@@ -233,7 +232,7 @@ def _build_exports(rows: tuple[DcElement, ...], original_raw: bytes,
         "nsdl_links": links,
         "nsdl_search": search,
         # with public natives the full dump is the search bundle: share it
-        "nsdl_all": search if native_public else shared + b"</search>",
+        "nsdl_all": search if r.native_public else shared + b"</search>",
     }
 
 
@@ -273,10 +272,8 @@ class Repository:
             provider_datestamp=now,
             normalized_rows=rows,
             served_datestamp=now + self.postdate_offset,
+            collection_record_id=repo_id,
             is_collection=True,
-            exports=_build_exports(
-                rows, raw, "nsdl_dc", True,
-                build_links(True, collection_id, None)),
         )
         self._collections[collection_id] = repo_id
         return repo_id
@@ -285,17 +282,15 @@ class Repository:
                native_public: bool = True) -> list[str]:
         """Store each entry; re-insert of an existing source record replaces
         content and refreshes the served datestamp."""
-        if doc.collection_id not in self._collections:
+        collection_record_id = self._collections.get(doc.collection_id)
+        if collection_record_id is None:
             raise UnknownCollection(doc.collection_id)
-        links = build_links(False, doc.collection_id,
-                            self._collections[doc.collection_id])
         minted = []
         for entry in doc.entries:
             original = entry.original
             source_id = original.header.identifier
             repo_id = self.mint_identifier(doc.collection_id, source_id)
             violations = ingest.validate_normalized(entry.normalized)
-            rows = tuple(entry.normalized.elements)
             self._records[repo_id] = StoredRecord(
                 repo_identifier=repo_id,
                 collection_id=doc.collection_id,
@@ -303,13 +298,11 @@ class Repository:
                 original_raw=original.raw_xml,
                 original_format=original.format_prefix,
                 provider_datestamp=original.header.datestamp,
-                normalized_rows=rows,
+                normalized_rows=tuple(entry.normalized.elements),
                 served_datestamp=now + self.postdate_offset,
+                collection_record_id=collection_record_id,
                 native_public=native_public,
                 schema_warning=bool(violations),
-                exports=_build_exports(
-                    rows, original.raw_xml, original.format_prefix,
-                    native_public, links),
             )
             minted.append(repo_id)
         return minted
@@ -323,7 +316,6 @@ class Repository:
             record,
             deleted=True,
             served_datestamp=now + self.postdate_offset,
-            exports={},
         )
 
     def delete_by_source(self, collection_id: str, source_identifier: str,
@@ -422,8 +414,8 @@ class Repository:
 
     @classmethod
     def load(cls, path: str | Path) -> "Repository":
-        """Read a state file, upgrading version 1, and rebuild every
-        record's exports."""
+        """Read a state file, upgrading version 1. Exports are derived on
+        first use, not here."""
         state = json.loads(Path(path).read_bytes())
         version = state.get("version")
         if version == STATE_VERSION:
@@ -479,29 +471,27 @@ def _elements_v1(rows: list) -> tuple[DcElement, ...]:
 
 def _record_from_json(d: dict, elements: tuple[DcElement, ...],
                       collections: dict[str, str]) -> StoredRecord:
-    """The stored record, with its exports rebuilt unless it is deleted;
-    ``collections`` maps each collection id to its record's identifier."""
-    raw = base64.b64decode(d["original_raw"])
-    if d["deleted"]:
-        exports = {}
-    else:
-        collection_id = d["collection_id"]
-        exports = _build_exports(
-            elements, raw, d["original_format"], d["native_public"],
-            build_links(d["is_collection"], collection_id,
-                        collections.get(collection_id)))
+    """The stored record; its exports are derived on first use.
+    ``collections`` maps each collection id to its record's identifier, and
+    a live item of a collection without one raises
+    MissingCollectionRecord."""
+    collection_id = d["collection_id"]
+    collection_record_id = collections.get(collection_id)
+    if collection_record_id is None and not (d["deleted"]
+                                             or d["is_collection"]):
+        raise MissingCollectionRecord(collection_id)
     return StoredRecord(
         repo_identifier=d["repo_identifier"],
-        collection_id=d["collection_id"],
+        collection_id=collection_id,
         source_identifier=d["source_identifier"],
-        original_raw=raw,
+        original_raw=base64.b64decode(d["original_raw"]),
         original_format=d["original_format"],
         provider_datestamp=model.parse_datestamp(d["provider_datestamp"]),
         normalized_rows=elements,
         served_datestamp=model.parse_datestamp(d["served_datestamp"]),
+        collection_record_id=collection_record_id,
         deleted=d["deleted"],
         native_public=d["native_public"],
         is_collection=d["is_collection"],
         schema_warning=d["schema_warning"],
-        exports=exports,
     )

@@ -233,14 +233,6 @@ class SimProvider:
     def live_identifiers(self, at: datetime | None = None) -> set[str]:
         return {i for i, r in self.state(at).items() if not r.deleted}
 
-    def ground_truth_window(self, from_: datetime | None,
-                            until: datetime | None) -> set[str]:
-        return {
-            i for i, r in self.state().items()
-            if (from_ is None or r.datestamp >= from_)
-            and (until is None or r.datestamp <= until)
-        }
-
     def advance(self, to: datetime) -> None:
         self.clock.advance_to(to)
 

@@ -241,7 +241,7 @@ def _insert_document(tmp_path, collection_id):
     rec = MetadataRecord(
         header=header, format_prefix="oai_dc", elements=elements,
         raw_xml=model.serialize_dc_payload("oai_dc", elements))
-    pair = (rec, ingest.safe_transform(rec, ingest.TransformConfig.default()))
+    pair = (rec, ingest.safe_transform(rec))
     path = tmp_path / f"{collection_id}.xml"
     path.write_bytes(ingest.serialize_db_insert(
         ingest.build_db_insert([pair], collection_id, "manual-1")))

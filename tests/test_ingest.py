@@ -71,6 +71,10 @@ def test_scrub_is_idempotent_over_fuzz_corpus():
             assert scrub_uri(once) == once, s
 
 
+def test_scrub_refuses_a_value_utf8_cannot_encode():
+    assert scrub_uri("http://host/a\ud800b") is None
+
+
 _UNSAFE = set(' <>"{}|\\^`')
 
 
@@ -96,14 +100,14 @@ def test_scrub_result_is_none_or_fetchable(prefix, rest):
 def test_stop_phrase_dropped():
     rec = _record([DcElement("description", "no abstract submitted"),
                    DcElement("title", "Keep me")])
-    out = safe_transform(rec, CFG)
+    out = safe_transform(rec)
     assert [e.name for e in out.elements] == ["title"]
     assert ingest.RULE_DROP_NO_VALUE in out.transform_log
 
 
 def test_whitespace_collapse():
     rec = _record([DcElement("title", "  A\t\tB  ")])
-    out = safe_transform(rec, CFG)
+    out = safe_transform(rec)
     assert out.elements[0].value == "A B"
     assert ingest.RULE_WHITESPACE in out.transform_log
 
@@ -112,14 +116,14 @@ def test_duplicate_elements_first_kept():
     rec = _record([DcElement("subject", "physics"),
                    DcElement("title", "T"),
                    DcElement("subject", "physics")])
-    out = safe_transform(rec, CFG)
+    out = safe_transform(rec)
     assert [e.name for e in out.elements] == ["subject", "title"]
     assert ingest.RULE_DEDUP in out.transform_log
 
 
 def test_identifier_qualified_as_uri():
     rec = _record([DcElement("identifier", "http://example.org/a b")])
-    out = safe_transform(rec, CFG)
+    out = safe_transform(rec)
     el = out.elements[0]
     assert el.scheme == "URI"
     assert el.value == "http://example.org/a%20b"
@@ -129,30 +133,30 @@ def test_identifier_qualified_as_uri():
 def test_non_url_identifier_left_plain():
     rec = _record([DcElement("identifier", "doi:10.1000/182"),
                    DcElement("title", "T")])
-    out = safe_transform(rec, CFG)
+    out = safe_transform(rec)
     assert out.elements[0].scheme is None
 
 
 def test_dcmi_type_qualified():
     rec = _record([DcElement("type", "text"), DcElement("title", "T")])
-    out = safe_transform(rec, CFG)
+    out = safe_transform(rec)
     assert out.elements[0].value == "Text"
     assert out.elements[0].scheme == "DCMIType"
 
 
 def test_language_normalized():
     rec = _record([DcElement("language", "English"), DcElement("title", "T")])
-    out = safe_transform(rec, CFG)
+    out = safe_transform(rec)
     assert out.elements[0].value == "en"
     rec2 = _record([DcElement("language", "EN_us"), DcElement("title", "T")])
-    assert safe_transform(rec2, CFG).elements[0].value == "en-US"
+    assert safe_transform(rec2).elements[0].value == "en-US"
 
 
 def test_declared_uri_downgraded():
     for value in ("not a url", "ftp://host/file%ZZ"):
         rec = _record([DcElement("identifier", value, scheme="URI"),
                        DcElement("title", "T")], prefix="nsdl_dc")
-        out = safe_transform(rec, CFG)
+        out = safe_transform(rec)
         assert out.elements[0] == DcElement("identifier", value), value
         assert ingest.RULE_DOWNGRADE_URI in out.transform_log, value
 
@@ -161,7 +165,7 @@ def test_already_normalized_record_has_empty_log():
     rec = _record([DcElement("title", "Clean Title"),
                    DcElement("identifier", "http://example.org/x", scheme="URI")],
                   prefix="nsdl_dc")
-    out = safe_transform(rec, CFG)
+    out = safe_transform(rec)
     assert out.elements == rec.elements
     assert out.transform_log == ()
 
@@ -186,9 +190,9 @@ def test_transform_idempotent_over_fuzz_corpus():
     rng = random.Random(1234)
     for _ in range(2000):
         rec = _random_record(rng)
-        once = safe_transform(rec, CFG)
+        once = safe_transform(rec)
         again_input = _record(once.elements, ident=rec.header.identifier)
-        twice = safe_transform(again_input, CFG)
+        twice = safe_transform(again_input)
         assert twice.elements == once.elements
 
 
@@ -196,7 +200,7 @@ def test_monotone_information_no_invented_values():
     rng = random.Random(99)
     for _ in range(500):
         rec = _random_record(rng)
-        out = safe_transform(rec, CFG)
+        out = safe_transform(rec)
         inputs = [e.value for e in rec.elements]
         for el in out.elements:
             derivable = any(
@@ -212,7 +216,7 @@ def test_monotone_information_no_invented_values():
 def test_downgrade_safety_no_false_uri_claims_survive():
     rng = random.Random(5)
     for _ in range(500):
-        out = safe_transform(_random_record(rng), CFG)
+        out = safe_transform(_random_record(rng))
         for el in out.elements:
             if el.scheme == "URI":
                 assert model.is_absolute_uri(el.value)
@@ -221,11 +225,11 @@ def test_downgrade_safety_no_false_uri_claims_survive():
 def test_uri_typed_dcmi_type_downgraded_and_qualified_in_one_application():
     rec = _record([DcElement("type", "text", scheme="URI"),
                    DcElement("title", "T")], prefix="nsdl_dc")
-    out = safe_transform(rec, CFG)
+    out = safe_transform(rec)
     assert out.elements[0] == DcElement("type", "Text", scheme="DCMIType")
     assert out.transform_log == (ingest.RULE_DOWNGRADE_URI,
                                  ingest.RULE_QUALIFY_DCMI_TYPE)
-    again = safe_transform(_record(out.elements), CFG)
+    again = safe_transform(_record(out.elements))
     assert again.elements == out.elements
     assert again.transform_log == ()
 
@@ -238,7 +242,7 @@ def test_spaced_stop_phrases_dropped_in_one_application_fire_only_drop():
                    DcElement("identifier", "Not\tAvailable", scheme="URI"),
                    DcElement("identifier", "not available", scheme="URI"),
                    DcElement("title", "T")], prefix="nsdl_dc")
-    out = safe_transform(rec, CFG)
+    out = safe_transform(rec)
     assert out.elements == (DcElement("title", "T"),)
     assert out.transform_log == (ingest.RULE_DROP_NO_VALUE,)
 
@@ -321,8 +325,8 @@ def _adversarial_records(draw):
 @settings(max_examples=500, deadline=None)
 @given(record=_adversarial_records())
 def test_transform_is_fixed_point_after_one_application(record):
-    once = safe_transform(record, CFG)
-    twice = safe_transform(_record(once.elements, prefix="nsdl_dc"), CFG)
+    once = safe_transform(record)
+    twice = safe_transform(_record(once.elements, prefix="nsdl_dc"))
     assert twice.elements == once.elements
     assert twice.transform_log == ()
 
@@ -355,7 +359,7 @@ def test_validate_empty_record_violates_min_content():
 
 def _pair(ident, title="T"):
     rec = _record([DcElement("title", title)], ident=ident)
-    return rec, safe_transform(rec, CFG)
+    return rec, safe_transform(rec)
 
 
 def test_db_insert_roundtrip():
@@ -374,7 +378,7 @@ def test_db_insert_roundtrip():
 
 def test_db_insert_preserves_original_bytes_exactly():
     rec = _record([DcElement("title", "A & B")], ident="oai:x:raw")
-    doc = build_db_insert([(rec, safe_transform(rec, CFG))], "c", "a")
+    doc = build_db_insert([(rec, safe_transform(rec))], "c", "a")
     back = parse_db_insert(serialize_db_insert(doc))
     assert back.entries[0].original.raw_xml == rec.raw_xml
 

@@ -13,13 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdpipe import ingest, model, repository
-from mdpipe.errors import UnknownCollection, UnknownIdentifier
-from mdpipe.ingest import TransformConfig, build_db_insert, safe_transform
+from mdpipe.errors import (
+    MissingCollectionRecord,
+    UnknownCollection,
+    UnknownIdentifier,
+)
+from mdpipe.ingest import build_db_insert, safe_transform
 from mdpipe.model import DcElement, MetadataRecord, RecordHeader
 from mdpipe.repository import Repository
 
 UTC = timezone.utc
-CFG = TransformConfig.default()
 T0 = datetime(2006, 1, 25, 12, 0, 0, tzinfo=UTC)
 
 
@@ -36,7 +39,7 @@ def _doc(idents_and_titles, collection="coll-1", attempt="a-1"):
         rec = _record(ident, [DcElement("title", title),
                               DcElement("identifier", f"http://example.org/{title}",
                                         scheme="URI")])
-        pairs.append((rec, safe_transform(rec, CFG)))
+        pairs.append((rec, safe_transform(rec)))
     return build_db_insert(pairs, collection, attempt)
 
 
@@ -423,7 +426,7 @@ def test_list_uri_identifiers_match_scrubbed(repo):
 
 def test_schema_warning_flag_for_invalid_records(repo):
     rec = _record("oai:x:bad", [DcElement("date", "sometime")])  # no title/identifier
-    norm = safe_transform(rec, CFG)
+    norm = safe_transform(rec)
     doc = build_db_insert([(rec, norm)], "coll-1", "a")
     ids = repo.insert(doc, now=T0)
     assert repo.get(ids[0]).schema_warning
@@ -455,7 +458,7 @@ def test_save_load_keeps_a_year_below_1000(tmp_path, repo):
     rec = _record("oai:x:old", [DcElement("title", "Old")])
     rec = dataclasses.replace(rec, header=dataclasses.replace(
         rec.header, datestamp=model.parse_datestamp("0999-01-01T00:00:00Z")))
-    ids = repo.insert(build_db_insert([(rec, safe_transform(rec, CFG))],
+    ids = repo.insert(build_db_insert([(rec, safe_transform(rec))],
                                       "coll-1", "a"), now=T0)
     path = tmp_path / "staging.json"
     repo.save(path)
@@ -539,7 +542,7 @@ def _v1_writer() -> Repository:
                                language="en")]),
             ("s:2", [DcElement("title", "U")])]:
         rec = _record(ident, elements)
-        pairs.append((rec, safe_transform(rec, CFG)))
+        pairs.append((rec, safe_transform(rec)))
     r.insert(build_db_insert(pairs, "c", "x"), now=T0, native_public=False)
     r.delete_by_source("c", "s:2", now=T0 + timedelta(hours=1))
     return r
@@ -571,6 +574,60 @@ def test_load_rejects_unknown_version(tmp_path, version):
     path.write_text(json.dumps(state))
     with pytest.raises(ValueError, match=f"version {version!r}"):
         Repository.load(path)
+
+
+def test_load_refuses_a_live_item_whose_collection_has_no_record(tmp_path,
+                                                                 repo):
+    repo.insert(_doc([("oai:x:1", "t1")]), now=T0)
+    repo.register_collection_record(
+        "coll-2", (DcElement("title", "Two"),), T0)
+    repo.insert(_doc([("oai:y:1", "u1")], collection="coll-2"), now=T0)
+    repo.delete_by_source("coll-2", "oai:y:1", now=T0)
+    path = tmp_path / "repository.json"
+    repo.save(path)
+    state = json.loads(path.read_bytes())
+    # coll-2 holds its collection record and a tombstone: neither links to
+    # a collection record, so both load as they are
+    del state["collections"]["coll-2"]
+    path.write_text(json.dumps(state))
+    loaded = Repository.load(path)
+    tombstone = loaded.get(repo.mint_identifier("coll-2", "oai:y:1"))
+    assert tombstone.deleted and tombstone.exports == {}
+    assert loaded.publish(now=T0).manifest.checksum == \
+        repo.publish(now=T0).manifest.checksum
+    # coll-1 holds a live item, whose membership link has no target
+    del state["collections"]["coll-1"]
+    path.write_text(json.dumps(state))
+    with pytest.raises(MissingCollectionRecord):
+        Repository.load(path)
+
+
+def test_exports_are_derived_on_first_use(tmp_path, repo, monkeypatch):
+    built = []
+    build_exports = repository._build_exports
+
+    def counting(*args):
+        built.append(args)
+        return build_exports(*args)
+
+    monkeypatch.setattr(repository, "_build_exports", counting)
+    repo.insert(_doc([(f"oai:x:{i}", f"t{i}") for i in range(4)]), now=T0)
+    repo.delete_by_source("coll-1", "oai:x:3", now=T0)
+    repo.register_collection_record(
+        "coll-2", (DcElement("title", "Two"),), T0)
+    path = tmp_path / "repository.json"
+    repo.save(path)
+    loaded = Repository.load(path)
+    assert built == []
+    for r in (repo, loaded):
+        r.publish(now=T0)
+        assert len(built) == 5   # 3 live items and 2 collection records
+        built.clear()
+        r.publish(now=T0)
+        assert built == []
+        tombstone = r.get(r.mint_identifier("coll-1", "oai:x:3"))
+        assert tombstone.deleted and tombstone.exports == {}
+    assert built == []
 
 
 class _TornFile:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdpipe import model
 from mdpipe.client import HttpTransport, OaiClient
-from mdpipe.ingest import TransformConfig, build_db_insert, safe_transform
+from mdpipe.ingest import build_db_insert, safe_transform
 from mdpipe.model import DcElement, MetadataRecord, RecordHeader
 from mdpipe.repository import (
     EXPORT_FORMATS,
@@ -27,7 +27,6 @@ from mdpipe.repository import (
 from mdpipe.server import TOKEN_TTL, OaiServer, ServerConfig, serve_http
 
 UTC = timezone.utc
-CFG = TransformConfig.default()
 T0 = datetime(2006, 3, 1, 9, 0, 0, tzinfo=UTC)
 OAI = f"{{{model.OAI_NS}}}"
 
@@ -52,7 +51,7 @@ def _doc(n, collection="coll-1", start=0):
                                 scheme="URI")),
             raw_xml=model.serialize_dc_payload(
                 "oai_dc", (DcElement("title", f"Title {i}"),)))
-        pairs.append((rec, safe_transform(rec, CFG)))
+        pairs.append((rec, safe_transform(rec)))
     return build_db_insert(pairs, collection, "a-1")
 
 
@@ -409,8 +408,8 @@ def _stored(ident, coll, stamp, deleted):
     return StoredRecord(
         repo_identifier=ident, collection_id=coll, source_identifier=ident,
         original_raw=b"", original_format="oai_dc", provider_datestamp=T0,
-        normalized_rows=(), served_datestamp=stamp, deleted=deleted,
-        exports={} if deleted else {"oai_dc": b"<dc/>"})
+        normalized_rows=(), served_datestamp=stamp,
+        collection_record_id=f"oai:t:collections/{coll}", deleted=deleted)
 
 
 @st.composite
